@@ -316,6 +316,8 @@ def _cmd_contiguity(args):
     )
     _check_delta("delta0", args.delta0, args.m)
     _check_delta("delta1", args.delta1, args.m)
+    if args.probe != "martingale" and args.tau is None:
+        raise _UsageError(f"--probe {args.probe} needs --tau")
     if args.probe == "second-moment":
         mc = reduction.second_moment_probe(
             tau=args.tau, tau_prime=args.tau_prime, alpha=args.alpha,

@@ -50,7 +50,3 @@ class PreconditionViolated(PacpError):
 
 class UnsupportedRegime(PacpError):
     """The probed statement does not cover this parameter regime."""
-
-
-class UndefinedWeight(PacpError):
-    """A per-arrival weight ratio has a nonpositive denominator."""

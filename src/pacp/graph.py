@@ -30,6 +30,7 @@ __all__ = [
     "load_palog",
     "save_palog",
     "substep_degrees",
+    "window_tail_diff",
 ]
 
 PALOG_MAGIC = "PALOG v1"
@@ -270,31 +271,41 @@ def degree_tail_counts(
     )
 
 
+def window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
+    """Tail-count increments N_{>k}(g_hi) - N_{>k}(g_{lo-1}), k = m, m+1, ...
+
+    The degree side of the likelihood block of arrivals ``lo..hi``; for
+    ``lo = 1`` nothing is subtracted.
+    """
+    out = degree_tail_counts(g, upto=hi).tail
+    if lo > 1:
+        pre = degree_tail_counts(g, upto=lo - 1).tail
+        out[: len(pre)] -= pre
+    return out
+
+
 def substep_degrees(g: AttachmentLog, t_lo: int = 2) -> np.ndarray:
     """Degrees seen by each attachment from arrival ``t_lo`` on.
 
     Returns, for every sub-step (t, i) with t in [t_lo, n] in order, the degree
-    of the chosen target just before the edge was added.  Reconstructed by
-    deterministic replay; nothing is cached on the log.
+    of the chosen target just before the edge was added.  That is the target's
+    degree in the prefix graph on ``0..t_lo-1`` (``m`` for a vertex born at or
+    after ``t_lo``) plus the number of edges from arrival ``t_lo`` on that hit
+    the same target before it: its rank in a stable sort of those edges by
+    target.
     """
-    if not 2 <= t_lo <= g.n:
-        if t_lo == g.n + 1:
-            return np.empty(0, dtype=np.int64)
-        raise ValueError(f"t_lo {t_lo} out of range 2..{g.n}")
+    if not 2 <= t_lo <= g.n + 1:
+        raise ValueError(f"t_lo {t_lo} out of range 2..{g.n + 1}")
     n, m = g.n, g.m
-    deg = g.degrees(upto=t_lo - 1).tolist()
-    deg.extend([0] * (n + 1 - len(deg)))
-    tl = g.targets[(t_lo - 2) * m :].tolist()
-    out = np.empty(len(tl), dtype=np.int64)
-    pos = 0
-    for t in range(t_lo, n + 1):
-        for _ in range(m):
-            v = tl[pos]
-            out[pos] = deg[v]
-            deg[v] += 1
-            pos += 1
-        deg[t] = m
-    return out
+    tl = g.targets[(t_lo - 2) * m :]
+    before = np.full(n + 1, m, dtype=np.int64)
+    before[:t_lo] = g.degrees(upto=t_lo - 1)
+    order = np.argsort(tl, kind="stable")
+    counts = np.bincount(tl, minlength=n + 1)
+    first = np.cumsum(counts) - counts  # position of each target's first edge in sorted order
+    rank = np.empty_like(tl)
+    rank[order] = np.arange(len(tl), dtype=np.int64) - first[tl[order]]
+    return before[tl] + rank
 
 
 # ---------------------------------------------------------------------------

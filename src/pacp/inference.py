@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
+from scipy.optimize import brentq
 
 from .errors import DomainError, NoInteriorRoot
-from .graph import AttachmentLog, degree_tail_counts, substep_degrees
-from .likelihood import log_likelihood, log_lr, log_s_sum
+from .graph import AttachmentLog, window_tail_diff
+from .likelihood import arrival_log_weights, log_likelihood, log_lr
 from .simulation import DeltaProfile
 from .theory import asymptotic_variance
 
@@ -29,19 +30,25 @@ __all__ = [
 ]
 
 SCORE_TOL = 1e-10
-MAX_BISECT = 200
 DELTA_MAX = 1e6
 GUARD_FACTOR = 1e-9  # admissible deltas start at -m + GUARD_FACTOR * m
 
 
-def _window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
-    """Tail-count increments N_{>k}(g_hi) - N_{>k}(g_{lo-1}), k = m, m+1, ..."""
-    tail_hi = degree_tail_counts(g, upto=hi).tail
-    out = tail_hi.astype(np.float64).copy()
-    if lo > 1:
-        tail_lo = degree_tail_counts(g, upto=lo - 1).tail
-        out[: len(tail_lo)] -= tail_lo
-    return out
+def _window_score(g: AttachmentLog, window: tuple[int, int]):
+    """The window's score as a function of delta, with the tail-count
+    increments and the arrival grid computed once."""
+    lo, hi = window
+    m = g.m
+    diff = window_tail_diff(g, lo, hi)
+    k = np.arange(m, m + len(diff), dtype=np.float64)
+    t = np.arange(max(lo, 2), hi + 1, dtype=np.float64)[:, None]
+    i = np.arange(m, dtype=np.float64)[None, :]
+
+    def score_fn(delta: float) -> float:
+        s = (2 * m + delta) * t - 2 * m + i
+        return float((diff / (k + delta)).sum()) - float((t / s).sum())
+
+    return score_fn
 
 
 def score(g: AttachmentLog, window: tuple[int, int], delta: float) -> float:
@@ -55,15 +62,7 @@ def score(g: AttachmentLog, window: tuple[int, int], delta: float) -> float:
         raise DomainError(f"window {window} out of range 1..{g.n}")
     if delta <= -g.m:
         raise DomainError(f"delta must be > -m = {-g.m}")
-    diff = _window_tail_diff(g, lo, hi)
-    k = np.arange(g.m, g.m + len(diff), dtype=np.float64)
-    lead = float((diff / (k + delta)).sum())
-    m = g.m
-    t = np.arange(max(lo, 2), hi + 1, dtype=np.float64)
-    if len(t):
-        s = (2 * m + delta) * t[:, None] - 2 * m + np.arange(m, dtype=np.float64)[None, :]
-        lead -= float((t[:, None] / s).sum())
-    return lead
+    return _window_score(g, window)(delta)
 
 
 @dataclass(frozen=True)
@@ -103,7 +102,7 @@ class MleResult:
 
     def confidence_intervals(self, level: float = 0.95):
         """Plug-in normal intervals delta_hat +- z * stderr per window."""
-        z = norm.ppf(0.5 + level / 2.0)
+        z = NormalDist().inv_cdf(0.5 + level / 2.0)
         out = []
         for fit in (self.pre, self.post):
             if fit.converged and fit.stderr is not None:
@@ -114,7 +113,7 @@ class MleResult:
 
 
 def _solve_window(score_fn, m: int, window: tuple[int, int]) -> WindowFit:
-    """Expanding-bracket + bisection root search on (-m + guard, DELTA_MAX].
+    """Expanding-bracket + Brent root search on (-m + guard, DELTA_MAX].
 
     The score need not be globally monotone, but it is continuous; failure to
     find a sign change is reported as no_interior_root, never forced.
@@ -148,26 +147,15 @@ def _solve_window(score_fn, m: int, window: tuple[int, int]) -> WindowFit:
                 return WindowFit(window, "no_interior_root", None, None, (a, b), (sa, s0), 0)
             b, sb = a, sa
             gap /= 2.0
-    # invariant: score(a) >= 0 >= score(b), a < b or a > b handled by signs
+    # invariant: score(a) >= 0 >= score(b); brentq polishes to float precision
     lo, s_lo, hi, s_hi = (a, sa, b, sb) if a < b else (b, sb, a, sa)
-    for it in range(1, MAX_BISECT + 1):
-        mid = 0.5 * (lo + hi)
-        sm = score_fn(mid)
-        if abs(sm) <= SCORE_TOL:
-            return WindowFit(window, "converged", mid, sm, (lo, hi), (s_lo, s_hi), it)
-        if (sm > 0) == (s_lo > 0):
-            lo, s_lo = mid, sm
-        else:
-            hi, s_hi = mid, sm
-        if lo == hi or math.nextafter(lo, hi) == hi:
-            best = lo if abs(s_lo) <= abs(s_hi) else hi
-            sb_ = s_lo if best == lo else s_hi
-            status = "converged" if abs(sb_) <= SCORE_TOL else "max_iterations"
-            return WindowFit(window, status, best, sb_, (lo, hi), (s_lo, s_hi), it)
-    best = lo if abs(s_lo) <= abs(s_hi) else hi
-    sb_ = s_lo if best == lo else s_hi
-    status = "converged" if abs(sb_) <= SCORE_TOL else "max_iterations"
-    return WindowFit(window, status, best, sb_, (lo, hi), (s_lo, s_hi), MAX_BISECT)
+    root, res = brentq(
+        score_fn, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps,
+        full_output=True, disp=False,
+    )
+    s_root = score_fn(root)
+    status = "converged" if abs(s_root) <= SCORE_TOL else "max_iterations"
+    return WindowFit(window, status, root, s_root, (lo, hi), (s_lo, s_hi), res.iterations)
 
 
 def mle(g: AttachmentLog, tau: int) -> MleResult:
@@ -181,24 +169,9 @@ def mle(g: AttachmentLog, tau: int) -> MleResult:
     if not 1 <= tau < n:
         raise DomainError(f"tau must lie in 1..{n - 1}, got {tau}")
 
-    fits = []
-    for window in ((1, tau), (tau + 1, n)):
-        lo, hi = window
-        diff = _window_tail_diff(g, lo, hi)
-        k = np.arange(m, m + len(diff), dtype=np.float64)
-        t = np.arange(max(lo, 2), hi + 1, dtype=np.float64)
-        i = np.arange(m, dtype=np.float64)
-
-        def score_fn(delta, diff=diff, k=k, t=t, i=i):
-            lead = float((diff / (k + delta)).sum())
-            if len(t):
-                s = (2 * m + delta) * t[:, None] - 2 * m + i[None, :]
-                lead -= float((t[:, None] / s).sum())
-            return lead
-
-        fits.append(_solve_window(score_fn, m, window))
-
-    pre, post = fits
+    pre, post = (
+        _solve_window(_window_score(g, window), m, window) for window in ((1, tau), (tau + 1, n))
+    )
     if pre.converged:
         nu0 = asymptotic_variance(0, pre.delta_hat, pre.delta_hat, m).value
         pre = _with_stderr(pre, tau, nu0)
@@ -294,8 +267,7 @@ def localize_tau(g: AttachmentLog, delta0: float, delta1: float):
     base = log_likelihood(g, DeltaProfile.constant(delta1)).value
     profile = np.full(n + 1, base, dtype=np.float64)  # arrival 1 is deterministic
     if n >= 2:
-        d = substep_degrees(g, 2).astype(np.float64)
-        deg_inc = (np.log(d + delta0) - np.log(d + delta1)).reshape(n - 1, m).sum(axis=1)
+        deg_inc = -arrival_log_weights(g, 2, delta0, delta1)
         t = np.arange(2, n + 1, dtype=np.float64)
         s0 = (2 * m + delta0) * t[:, None] - 2 * m + np.arange(m, dtype=np.float64)[None, :]
         s1 = (2 * m + delta1) * t[:, None] - 2 * m + np.arange(m, dtype=np.float64)[None, :]

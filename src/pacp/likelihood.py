@@ -16,12 +16,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .graph import AttachmentLog, substep_degrees
+from .graph import AttachmentLog, substep_degrees, window_tail_diff
 from .simulation import DeltaProfile
 
 __all__ = [
     "BoundedValue",
     "LogLik",
+    "arrival_log_weights",
     "log_likelihood",
     "log_lr",
     "log_s_sum",
@@ -130,18 +131,11 @@ def _log_s_ratio(tau: int, n: int, d0: float, d1: float, m: int) -> float:
     return log_s_sum(tau + 1, n, d0, m) - log_s_sum(tau + 1, n, d1, m)
 
 
-def _tail_diff(g: AttachmentLog, tau: int) -> np.ndarray:
-    """N_{>k}(g) - N_{>k}(g restricted to 0..tau), k = m, m+1, ..."""
-    from .graph import _tail_from_degrees
-
-    fin = _tail_from_degrees(g.degrees(), g.m)
-    if tau >= 1:
-        pre = _tail_from_degrees(g.degrees(upto=tau), g.m)
-    else:
-        pre = np.zeros(0, dtype=np.int64)
-    out = fin.copy()
-    out[: len(pre)] -= pre
-    return out
+def arrival_log_weights(g: AttachmentLog, t_lo: int, delta0: float, delta1: float) -> np.ndarray:
+    """Per-arrival log weight sum_i log(d+delta1) - log(d+delta0) over the
+    degrees d that arrival t's m edges saw; entry j is arrival t_lo + j."""
+    d = substep_degrees(g, t_lo).astype(np.float64)
+    return (np.log(d + delta1) - np.log(d + delta0)).reshape(-1, g.m).sum(axis=1)
 
 
 def log_lr(g: AttachmentLog, tau: int, delta0: float, delta1: float, method: str = "tail") -> float:
@@ -160,12 +154,11 @@ def log_lr(g: AttachmentLog, tau: int, delta0: float, delta1: float, method: str
         return 0.0
     s_part = _log_s_ratio(tau, n, delta0, delta1, m)
     if method == "tail":
-        diff = _tail_diff(g, tau)
+        diff = window_tail_diff(g, tau + 1, n)
         k = np.arange(m, m + len(diff), dtype=np.float64)
         deg_part = math.fsum((diff * (np.log(k + delta1) - np.log(k + delta0))).tolist())
     elif method == "sequential":
-        d = substep_degrees(g, tau + 1).astype(np.float64)
-        deg_part = math.fsum((np.log(d + delta1) - np.log(d + delta0)).tolist())
+        deg_part = math.fsum(arrival_log_weights(g, tau + 1, delta0, delta1).tolist())
     else:
         raise ValueError(f"unknown method {method!r}")
     return s_part + deg_part

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionViolated, UndefinedWeight, UnsupportedRegime
-from .graph import AttachmentLog, BoldSet, bold_vertices, substep_degrees
-from .likelihood import log_s_sum
+from .errors import DomainError, PreconditionViolated, UnsupportedRegime
+from .graph import AttachmentLog, BoldSet, bold_vertices
+from .likelihood import arrival_log_weights, log_s_sum
 from .simulation import DeltaProfile, simulate
 from .theory import mean_weight_mn
 from . import campaign
@@ -73,18 +73,12 @@ class ReductionContext:
         delta1: float,
     ) -> "ReductionContext":
         n, m = g.n, g.m
-        if not 0 <= tau_prime < tau <= n:
-            raise DomainError(f"need 0 <= tau_prime < tau <= n, got {tau_prime}, {tau}, {n}")
+        if not 1 <= tau_prime < tau <= n:
+            raise DomainError(f"need 1 <= tau_prime < tau <= n, got {tau_prime}, {tau}, {n}")
         if alpha <= 0:
             raise DomainError(f"alpha must be positive, got {alpha}")
         if delta0 <= -m or delta1 <= -m:
             raise DomainError(f"deltas must be > -m = {-m}")
-        bold = bold_vertices(g, tau_prime)
-        d = substep_degrees(g, tau_prime + 1).astype(np.float64)
-        denom = d + delta0
-        if (denom <= 0).any():
-            raise UndefinedWeight("attachment degree + delta0 must stay positive")
-        log_w = (np.log(d + delta1) - np.log(denom)).reshape(n - tau_prime, m).sum(axis=1)
         return cls(
             n=n,
             m=m,
@@ -93,8 +87,8 @@ class ReductionContext:
             alpha=alpha,
             delta0=delta0,
             delta1=delta1,
-            bold=bold,
-            log_weights=log_w,
+            bold=bold_vertices(g, tau_prime),
+            log_weights=arrival_log_weights(g, tau_prime + 1, delta0, delta1),
         )
 
     @property
@@ -119,7 +113,7 @@ def event_bn(ctx: ReductionContext) -> bool:
     """True when the relabelable set is large enough and contains every
     post-change arrival."""
     dp = ctx.width_prime
-    threshold = dp * (1.0 - ctx.alpha * dp / ctx.tau_prime) if ctx.tau_prime > 0 else -np.inf
+    threshold = dp * (1.0 - ctx.alpha * dp / ctx.tau_prime)
     return ctx.bold.size >= threshold and ctx.r == ctx.width
 
 
@@ -373,8 +367,7 @@ def azuma_rate(m: int, delta0: float, delta1: float) -> float:
 
 def _martingale_replicate(r, n, m, delta0, delta1, tau_prime, seed):
     g = simulate(n, m, DeltaProfile.constant(delta0), (seed, r))
-    d = substep_degrees(g, tau_prime + 1).astype(np.float64)
-    log_w = (np.log(d + delta1) - np.log(d + delta0)).reshape(n - tau_prime, m).sum(axis=1)
+    log_w = arrival_log_weights(g, tau_prime + 1, delta0, delta1)
     return {"z": float(np.exp(log_w).mean())}
 
 

@@ -1,5 +1,6 @@
 """Shared oracles for the test suite: exhaustive support enumeration,
-factorial brute force over label permutations, and a pooled chi-square."""
+factorial brute force over label permutations, a per-edge degree replay and
+a pooled chi-square."""
 
 import itertools
 import math
@@ -45,6 +46,27 @@ def brute_force_permuted_lr(g, tau, tau_prime, delta0, delta1):
         total += math.exp(log_lr(relabeled, tau, delta0, delta1))
         count += 1
     return total / count
+
+
+def replay_substep_degrees(g, t_lo):
+    """Degree each attachment from arrival t_lo on saw, by replaying the log
+    one edge at a time."""
+    n, m = g.n, g.m
+    if t_lo == n + 1:
+        return np.empty(0, dtype=np.int64)
+    deg = g.degrees(upto=t_lo - 1).tolist()
+    deg.extend([0] * (n + 1 - len(deg)))
+    tl = g.targets[(t_lo - 2) * m :].tolist()
+    out = np.empty(len(tl), dtype=np.int64)
+    pos = 0
+    for t in range(t_lo, n + 1):
+        for _ in range(m):
+            v = tl[pos]
+            out[pos] = deg[v]
+            deg[v] += 1
+            pos += 1
+        deg[t] = m
+    return out
 
 
 def chi2_gof_pvalue(counts, probs, min_expected=5.0):

@@ -113,10 +113,23 @@ def test_exit_codes_table(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+    for probe in ("second-moment", "event-bn"):
+        code, payload = run_cli(
+            ["contiguity", "--probe", probe, "--n", "100", "--m", "1", "--delta0", "0",
+             "--delta1", "1", "--tau-prime", "50", "--replicates", "2", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2 and payload["error"]["type"] == "usage"
 
     # domain errors from the library -> 3
     p = tmp_path / "tiny.palog"
     p.write_text("PALOG v1 n=3 m=1\n2 0\n3 0\n")
+    code, payload = run_cli(
+        ["reduce", "--graph", str(p), "--tau", "2", "--tau-prime", "0", "--delta0", "0",
+         "--delta1", "1"],
+        capsys,
+    )
+    assert code == 3 and payload["error"]["type"] == "DomainError"
     code, payload = run_cli(
         ["contiguity", "--probe", "second-moment", "--n", "100", "--m", "1", "--delta0", "0",
          "--delta1", "1", "--tau", "96", "--tau-prime", "2", "--replicates", "2", "--seed", "1"],

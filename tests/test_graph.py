@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacp import (
     AttachmentLog,
@@ -21,6 +23,8 @@ from pacp.errors import (
 )
 from pacp.graph import substep_degrees
 from pacp.reduction import kernel_sample
+
+from helpers import replay_substep_degrees
 
 
 def test_base_case_triple_edge():
@@ -180,3 +184,18 @@ def test_substep_degrees_replay():
     g2 = from_rows(3, 2, {2: [0, 0], 3: [2, 2]})
     assert substep_degrees(g2, 2).tolist() == [2, 3, 2, 3]
     assert substep_degrees(g2, 3).tolist() == [2, 3]
+
+
+@st.composite
+def attachment_logs(draw):
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 3))
+    targets = [draw(st.integers(0, t - 1)) for t in range(2, n + 1) for _ in range(m)]
+    return AttachmentLog(n, m, np.asarray(targets, dtype=np.int64))
+
+
+@settings(deadline=None)
+@given(attachment_logs())
+def test_substep_degrees_matches_per_edge_replay(g):
+    for t_lo in range(2, g.n + 2):
+        assert substep_degrees(g, t_lo).tolist() == replay_substep_degrees(g, t_lo).tolist()
