@@ -1,9 +1,12 @@
 """Closed-form asymptotics: limiting degree law, log-LR separation rates,
 estimator variance scales, and the exact finite-n degree-moment recursions.
 
-All Gamma ratios go through log-gamma (direct Gamma overflows near k = 170).
-Infinite series truncate adaptively and return a certified remainder bound,
-using that the exact tail mass p_{>K} is available in closed form.
+The degree pmf goes through log-gamma (direct Gamma overflows near k = 170).
+Every infinite series returns a certified remainder bound.  The log-LR rates
+truncate adaptively in blocks, certified by the closed-form tail mass p_{>K}.
+The variance scales and the score limit, which need E[1/(X+c)], sum a short
+head by the ratio recurrence p_{k+1}/p_k and telescope the tail into
+Gamma-ratio closed forms (``_jensen_gap``): tens of terms, no log-gamma.
 """
 
 from __future__ import annotations
@@ -156,53 +159,96 @@ def limit_loglr_rate(
     return TruncatedSeries(value, scale * series.remainder_bound, series.terms)
 
 
+def _jensen_gap(c: float, m: int, delta0: float, rel_tol: float = 1e-17) -> TruncatedSeries:
+    """Jensen gap E[1/(X+c)] - 1/(2m+c) >= 0 of X over the delta0 degree law,
+    for c > -m.
+
+    Since E[X] = 2m the gap equals E[(X-2m)^2/(X+c)] / (2m+c)^2, a sum of
+    nonnegative terms, so no digit is lost to the subtraction (at c = 1e6
+    the gap is ~1e-10 of E[1/(X+c)]).  Write p_k = C Gamma(k+a)/Gamma(k+b)
+    with a = delta0, r = delta0/m, b = 3+delta0+r.  The head k = m..K-1 is
+    summed directly from the ratio recurrence p_{k+1} = p_k (k+a)/(k+b).
+    For the tail, (k-2m)^2/(k+c) = (k+a) - (4m+c+a) + (2m+c)^2/(k+c); the
+    first two pieces are the closed forms
+    sum_{k>=K} Gamma(k+a)/Gamma(k+beta) = Gamma(K+a)/((beta-a-1) Gamma(K+beta-1)),
+    and the last telescopes through 1/(k+c) = 1/(k+b) + (b-c)/((k+b)(k+c)):
+        sum_{k>=K} p_k/(k+c) = sum_{j<J} w_j/(b+j-a) + R_J,
+        w_0 = p_K,  w_{j+1} = w_j (b+j-c)/(K+b+j),
+        |R_J| <= |w_J| (K+b+J-1) / ((b+J-1-a)(K+c)).
+    w_j is carried as one ratio, since its two factors overflow apart at
+    large c.  K = m + 16 + max(0, ceil(c), ceil(b-2c)): K >= c keeps the
+    three tail pieces of one order (no cancellation), K >= b-2c keeps the
+    ratio of w_j at most 1/2 when c <= b, and the head stops early once p_k
+    underflows to 0 (light tails at large delta0), which zeroes the tail.
+    ``terms`` counts head plus tail terms; ``remainder_bound`` certifies
+    |R_J| for the gap.  Raises DomainError past 1e8 head terms (c > ~1e8).
+    """
+    a, r = delta0, delta0 / m
+    b = 3.0 + a + r
+    k_end = m + 16 + max(0, math.ceil(c), math.ceil(b - 2.0 * c))
+    if k_end - m > 10**8:
+        raise DomainError(f"offset {c} needs more than 1e8 series terms")
+    head, p, K = 0.0, (2.0 + r) / (m + b - 1.0), m  # p = p_K throughout
+    while K < k_end and p > 0.0:
+        k = np.arange(K, min(K + 4096, k_end), dtype=np.float64)
+        cum = p * np.cumprod((k + a) / (k + b))  # p_{k+1} for each k
+        head += float(np.concatenate(([p], cum[:-1])) @ ((k - 2.0 * m) ** 2 / (k + c)))
+        p = float(cum[-1])
+        K += k.size
+    mass = p * (K + b - 1.0) / (2.0 + r)  # sum_{k>=K} p_k
+    first = p * (K + a) * (K + b - 1.0) / (1.0 + r)  # sum_{k>=K} (k+a) p_k
+    closed = (head + first - (4.0 * m + c + a) * mass) / (2.0 * m + c) ** 2
+    tail, w, j = 0.0, p, 0
+    while True:
+        tail += w / (b + j - a)
+        w *= (b + j - c) / (K + b + j)
+        j += 1
+        bound = abs(w) * (K + b + j - 1.0) / ((b + j - 1.0 - a) * (K + c))
+        if bound <= rel_tol * abs(closed + tail):
+            return TruncatedSeries(closed + tail, bound, K - m + j)
+        if j >= 10**6:
+            raise RuntimeError("telescoped tail did not converge within 1e6 terms")
+
+
 def asymptotic_variance(j: int, delta0: float, delta1: float, m: int) -> TruncatedSeries:
     """Variance scale nu_j of the two-window estimator: under the step law,
     sqrt(window) (estimate_j - delta_j) is asymptotically N(0, 1/nu_j).
 
-    Both windows average over the delta0 degree law; nu_0 therefore depends
-    only on (m, delta0) while nu_1 mixes delta0 (law) with delta1 (weights).
+    nu_j = m/(2m+d_j) (E[1/(X+d_j)] - 1/(2m+d_j)), X over the delta0 degree
+    law, so nu_0 depends only on (m, delta0) while nu_1 mixes delta0 (law)
+    with delta1 (weights).  The expectation minus its Jensen anchor is summed
+    as a short direct head plus a telescoped closed-form tail (see
+    ``_jensen_gap``): tens of terms for moderate deltas, about sqrt(40 d_j)
+    tail terms past a head of about d_j terms for large d_j, and nu_j > 0
+    always.  ``terms`` counts head plus tail terms and ``remainder_bound``
+    certifies the truncated telescoped tail.
     """
     if j not in (0, 1):
         raise ValueError(f"j must be 0 or 1, got {j}")
     if delta0 <= -m or delta1 <= -m:
         raise DomainError(f"deltas must be > -m = {-m}")
     dj = delta0 if j == 0 else delta1
-
-    def f(k):
-        return 1.0 / (k + dj)
-
-    def f_sup(k_last):
-        return 1.0 / (k_last + 1 + dj)
-
-    series = _expect_under_law(f, f_sup, m, delta0)
+    gap = _jensen_gap(dj, m, delta0)
     scale = m / (2.0 * m + dj)
-    value = scale * (series.value - 1.0 / (2.0 * m + dj))
-    return TruncatedSeries(value, scale * series.remainder_bound, series.terms)
+    return TruncatedSeries(scale * gap.value, scale * gap.remainder_bound, gap.terms)
 
 
 def score_limit(delta: float, delta0: float, delta1: float, m: int) -> TruncatedSeries:
     """Limit of the post-window score divided by the window length under the
     step law: m/(2m+d1) (E[(X+d1)/(X+delta)] - (2m+d1)/(2m+delta)), X over
     the delta0 degree law.  Monotone decreasing in delta with its zero at d1.
+
+    The bracket equals (d1 - delta)(E[1/(X+delta)] - 1/(2m+delta)), so the
+    limit is summed like ``asymptotic_variance``: a direct head plus a
+    telescoped closed-form tail, ``terms`` counting both and
+    ``remainder_bound`` certifying the truncated tail.  It is exactly 0 at
+    delta = d1.
     """
     if delta <= -m or delta0 <= -m or delta1 <= -m:
         raise DomainError(f"deltas must be > -m = {-m}")
-
-    def f(k):
-        return 1.0 / (k + delta)
-
-    def f_sup(k_last):
-        return 1.0 / (k_last + 1 + delta)
-
-    series = _expect_under_law(f, f_sup, m, delta0)
-    scale = m / (2.0 * m + delta1)
-    value = scale * (
-        1.0 + (delta1 - delta) * series.value - (2.0 * m + delta1) / (2.0 * m + delta)
-    )
-    return TruncatedSeries(
-        value, scale * abs(delta1 - delta) * series.remainder_bound, series.terms
-    )
+    gap = _jensen_gap(delta, m, delta0)
+    scale = m / (2.0 * m + delta1) * (delta1 - delta)
+    return TruncatedSeries(scale * gap.value, abs(scale) * gap.remainder_bound, gap.terms)
 
 
 @dataclass(frozen=True)

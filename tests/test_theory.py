@@ -7,6 +7,7 @@ from pacp import DeltaProfile, simulate
 from pacp.errors import DomainError
 from pacp.theory import (
     DegreeLaw,
+    _jensen_gap,
     asymptotic_variance,
     degree_moment,
     limit_degree_pmf,
@@ -119,6 +120,80 @@ def test_variance_positive_and_nu0_ignores_delta1():
     a = asymptotic_variance(0, 0.5, -0.3, 2).value
     b = asymptotic_variance(0, 0.5, 2.5, 2).value
     assert a == b
+
+
+def _mp_gap(c, m, delta0):
+    """E[1/(X+c)] - 1/(2m+c) at 40 digits from the 3F2 form of the series:
+    E[1/(X+c)] = p_m/(m+c) 3F2(1, m+a, m+c; m+b, m+c+1; 1)."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a = mpmath.mpf(delta0)
+        r = a / m
+        b = 3 + a + r
+        c = mpmath.mpf(c)
+        p_m = (2 + r) / (m + b - 1)
+        mean = p_m / (m + c) * mpmath.hyp3f2(1, m + a, m + c, m + b, m + c + 1, 1)
+        return mean - 1 / (2 * m + c)
+
+
+def _cases():
+    # hyp3f2 takes ~3-4 s at c = delta0 unless delta0 is an integer, so the
+    # c = delta0 (nu_0) column runs at delta0 in {0, 2} only
+    for m in (1, 2, 3):
+        for d0 in (-0.9 * m, -0.5 * m, 0.0, 0.5, 2.0):
+            cs = {0.0, 3.0, 7.0, 40.0} | ({d0} if d0 in (0.0, 2.0) else set())
+            for c in sorted(cs):
+                yield m, d0, c
+
+
+def test_jensen_gap_matches_mpmath_reference():
+    eps = np.finfo(float).eps
+    for m, d0, c in _cases():
+        gap = _jensen_gap(c, m, d0)
+        err = float(abs(gap.value - _mp_gap(c, m, d0)))
+        assert err <= 1e-13 * gap.value, (m, d0, c, err)
+        # the p_k ratio recurrence rounds at most ~2 eps per term
+        assert err <= gap.remainder_bound + 2 * gap.terms * eps * gap.value, (m, d0, c, err)
+        assert gap.terms < 500, (m, d0, c, gap.terms)
+
+
+def test_jensen_gap_remainder_bound_is_certified():
+    # a loose stop leaves a truncation error far above rounding: it must stay
+    # within the certified remainder
+    eps = np.finfo(float).eps
+    for m, d0, c in ((1, -0.9, 0.0), (2, 0.0, 7.0), (3, 2.0, 40.0), (1, 0.0, 0.0)):
+        gap = _jensen_gap(c, m, d0, rel_tol=1e-6)
+        err = float(abs(gap.value - _mp_gap(c, m, d0)))
+        assert err <= gap.remainder_bound + 2 * gap.terms * eps * gap.value, (m, d0, c)
+
+
+def test_variance_exact_anchors():
+    # m=1, delta0=0: p_k = 4/(k(k+1)(k+2)) gives E[1/X] = pi^2/3 - 5/2, and at
+    # delta1 = 3 = b the telescoped tail is a single closed-form term
+    assert asymptotic_variance(0, 0.0, 0.0, 1).value == pytest.approx(
+        math.pi**2 / 6 - 1.5, rel=1e-14
+    )
+    assert asymptotic_variance(1, 0.0, 3.0, 1).value == pytest.approx(1 / 225, rel=1e-14)
+
+
+def test_variance_positive_and_exact_up_to_delta_max():
+    import mpmath
+
+    from pacp.inference import DELTA_MAX
+
+    for d1 in (1e3, 1e4, 1e5, DELTA_MAX):
+        assert asymptotic_variance(1, 0.0, d1, 3).value > 0
+        # m=1, delta0=0: partial fractions of 4/(k(k+1)(k+2)(k+c)) in digammas
+        with mpmath.workdps(40):
+            c = mpmath.mpf(d1)
+            coef = (2 / c, -4 / (c - 1), 2 / (c - 2), -4 / (c * (1 - c) * (2 - c)))
+            shift = (1, 2, 3, 1 + c)
+            mean = -sum(q * mpmath.digamma(s) for q, s in zip(coef, shift))
+            exact = float((mean - 1 / (2 + c)) / (2 + c))
+        assert asymptotic_variance(1, 0.0, d1, 1).value == pytest.approx(exact, rel=1e-13)
+    with pytest.raises(DomainError):
+        asymptotic_variance(1, 0.0, 1e9, 1)  # past 1e8 head terms
 
 
 def test_degree_moment_base_case():
