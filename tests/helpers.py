@@ -1,14 +1,17 @@
 """Shared oracles for the test suite: exhaustive support enumeration,
-factorial brute force over label permutations, a per-edge degree replay and
-a pooled chi-square."""
+factorial brute force over label permutations, a per-edge degree replay, the
+per-line PALOG formatter and parser, the relabelable set by its definition,
+a pooled chi-square and the hypothesis strategy for attachment logs."""
 
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from pacp import AttachmentLog, apply_permutation, bold_vertices
+from pacp.errors import MissingRow, PalogError, WrongOutDegree
 from pacp.likelihood import log_lr
 
 
@@ -69,6 +72,72 @@ def replay_substep_degrees(g, t_lo):
     return out
 
 
+def format_palog_by_line(g):
+    """PALOG v1 text built one arrival line at a time."""
+    lines = [f"PALOG v1 n={g.n} m={g.m}"]
+    for t in range(2, g.n + 1):
+        lines.append(f"{t} " + " ".join(str(v) for v in g.row(t)))
+    return "\n".join(lines) + "\n"
+
+
+def parse_palog_by_line(text):
+    """PALOG v1 parsed one line at a time with Python's str.split and int."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise PalogError("empty PALOG input")
+    header = lines[0].split()
+    if header[:2] != ["PALOG", "v1"] or len(header) != 4:
+        raise PalogError(f"bad PALOG header: {lines[0]!r}")
+    try:
+        fields = dict(part.split("=", 1) for part in header[2:])
+        n = int(fields["n"])
+        m = int(fields["m"])
+    except (ValueError, KeyError) as exc:
+        raise PalogError(f"bad PALOG header: {lines[0]!r}") from exc
+    if n < 1 or m < 1:
+        raise PalogError(f"bad PALOG header values n={n}, m={m}")
+    if len(lines) - 1 != max(n - 1, 0):
+        raise MissingRow(f"expected {n - 1} arrival lines, found {len(lines) - 1}")
+    flat = np.empty((n - 1) * m, dtype=np.int64)
+    for idx, ln in enumerate(lines[1:]):
+        parts = ln.split()
+        expect_t = idx + 2
+        try:
+            t = int(parts[0])
+            row = [int(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise PalogError(f"unparsable arrival line: {ln!r}") from exc
+        if t != expect_t:
+            raise MissingRow(f"arrival line {t} where {expect_t} was expected")
+        if len(row) != m:
+            raise WrongOutDegree(f"arrival {t} has {len(row)} targets, expected {m}")
+        flat[(t - 2) * m : (t - 1) * m] = row
+    return AttachmentLog(n, m, flat)
+
+
+def bold_vertices_by_definition(g, tau_prime):
+    """Members of the relabelable set, checked vertex by vertex against the
+    BoldSet definition: v > tau_prime has no in-edges (degree m), every
+    vertex it points to is at most tau_prime, and every other arrival that
+    points to one of them is at most tau_prime.  Vertex 1 points to 0 by the
+    m implicit base edges."""
+    n, m = g.n, g.m
+    out = {1: [0] * m}
+    for t in range(2, n + 1):
+        out[t] = g.row(t).tolist()
+    into = {v: set() for v in range(n + 1)}
+    for t, targets in out.items():
+        for w in targets:
+            into[w].add(t)
+    members = []
+    for v in range(max(tau_prime + 1, 1), n + 1):
+        if into[v]:
+            continue
+        if all(w <= tau_prime and all(u <= tau_prime for u in into[w] - {v}) for w in out[v]):
+            members.append(v)
+    return members
+
+
 def chi2_gof_pvalue(counts, probs, min_expected=5.0):
     """Chi-square goodness of fit with small expected cells pooled."""
     counts = np.asarray(counts, dtype=np.float64)
@@ -96,3 +165,12 @@ def chi2_gof_pvalue(counts, probs, min_expected=5.0):
     if dof <= 0:
         return 1.0
     return float(chi2.sf(stat, dof))
+
+
+@st.composite
+def attachment_logs(draw):
+    """Any log the attachment support allows, n <= 60 and m <= 3."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 3))
+    targets = [draw(st.integers(0, t - 1)) for t in range(2, n + 1) for _ in range(m)]
+    return AttachmentLog(n, m, np.asarray(targets, dtype=np.int64))

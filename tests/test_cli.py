@@ -144,6 +144,10 @@ def test_exit_codes_table(tmp_path, capsys):
     bad.write_text("PALOG v1 n=3 m=1\n2 0\n3 7\n")
     code, payload = run_cli(["loglik", "--graph", str(bad), "--delta0", "0"], capsys)
     assert code == 3 and payload["error"]["type"] == "TargetTooLarge"
+    binary = tmp_path / "binary.palog"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(256)) * 8)
+    code, payload = run_cli(["mle", "--graph", str(binary), "--tau", "2"], capsys)
+    assert code == 3 and payload["error"]["type"] == "PalogError"
 
     # unreadable input path -> 2
     code, payload = run_cli(

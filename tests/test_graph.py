@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pacp import (
@@ -24,7 +24,13 @@ from pacp.errors import (
 from pacp.graph import substep_degrees
 from pacp.reduction import kernel_sample
 
-from helpers import replay_substep_degrees
+from helpers import (
+    attachment_logs,
+    bold_vertices_by_definition,
+    format_palog_by_line,
+    parse_palog_by_line,
+    replay_substep_degrees,
+)
 
 
 def test_base_case_triple_edge():
@@ -176,6 +182,8 @@ def test_palog_round_trip_and_rejects():
         parse_palog(swapped)
     with pytest.raises(PalogError):
         parse_palog("PALOG v2 n=2 m=1\n2 0")
+    with pytest.raises(WrongOutDegree):  # read, never allocated from the header
+        parse_palog(f"PALOG v1 n=2 m={10**30}\n2 0\n")
 
 
 def test_substep_degrees_replay():
@@ -186,16 +194,156 @@ def test_substep_degrees_replay():
     assert substep_degrees(g2, 3).tolist() == [2, 3]
 
 
-@st.composite
-def attachment_logs(draw):
-    n = draw(st.integers(1, 60))
-    m = draw(st.integers(1, 3))
-    targets = [draw(st.integers(0, t - 1)) for t in range(2, n + 1) for _ in range(m)]
-    return AttachmentLog(n, m, np.asarray(targets, dtype=np.int64))
-
-
-@settings(deadline=None)
 @given(attachment_logs())
 def test_substep_degrees_matches_per_edge_replay(g):
     for t_lo in range(2, g.n + 2):
         assert substep_degrees(g, t_lo).tolist() == replay_substep_degrees(g, t_lo).tolist()
+
+
+@given(attachment_logs())
+def test_palog_format_matches_per_line_oracle(g):
+    text = format_palog(g)
+    assert text == format_palog_by_line(g)
+    assert parse_palog(text) == g
+
+
+def _line(draw, lines):
+    return draw(st.integers(0, len(lines) - 1))
+
+
+def _drop(draw, lines, g):
+    del lines[_line(draw, lines)]
+
+
+def _duplicate(draw, lines, g):
+    i = _line(draw, lines)
+    lines.insert(draw(st.integers(0, len(lines))), lines[i])
+
+
+def _swap(draw, lines, g):
+    i, j = _line(draw, lines), _line(draw, lines)
+    lines[i], lines[j] = lines[j], lines[i]
+
+
+def _add_token(draw, lines, g):
+    i = _line(draw, lines)
+    lines[i] += f" {draw(st.integers(0, g.n))}"
+
+
+def _set_token(draw, lines, token):
+    i = _line(draw, lines)
+    parts = lines[i].split(" ")
+    parts[draw(st.integers(0, len(parts) - 1))] = token
+    lines[i] = " ".join(parts)
+
+
+def _remove_token(draw, lines, g):
+    i = _line(draw, lines)
+    parts = lines[i].split(" ")
+    del parts[draw(st.integers(0, len(parts) - 1))]
+    lines[i] = " ".join(parts)
+
+
+def _bad_token(draw, lines, g):
+    bad = ["x", "a1", "1.5", "1e3", "0x1", "+", "-", "--1", "+-1", "1-", "-1", "+0", "007"]
+    _set_token(draw, lines, draw(st.sampled_from(bad)))
+
+
+def _target_too_large(draw, lines, g):
+    if len(lines) > 1:
+        i = draw(st.integers(1, len(lines) - 1))
+        parts = lines[i].split(" ")
+        if len(parts) > 1 and parts[0].isdigit():
+            too_large = int(parts[0]) + draw(st.integers(0, 3))
+            parts[draw(st.integers(1, len(parts) - 1))] = str(too_large)
+            lines[i] = " ".join(parts)
+
+
+def _blank_line(draw, lines, g):
+    blank = draw(st.sampled_from(["", " ", "\t", " \t  "]))
+    lines.insert(draw(st.integers(0, len(lines))), blank)
+
+
+def _respace(draw, lines, g):
+    i = _line(draw, lines)
+    sep = draw(st.sampled_from(["\t", "  ", " \t"]))
+    lines[i] = draw(st.sampled_from(["", " ", "\t"])) + lines[i].replace(" ", sep) + draw(
+        st.sampled_from(["", " ", "\t "])
+    )
+
+
+def _header(draw, lines, g):
+    n, m = g.n, g.m
+    variants = [
+        f"PALOG v1 m={m} n={n}", f"PALOG v1 n={n}", f"PALOG v2 n={n} m={m}",
+        f"PALOG v1 n={n} m={m} x=1", f"PALOG v1 n=0 m={m}", f"PALOG v1 n={n} m=0",
+        f"PALOG v1 n=-{n} m={m}", f"PALOG v1 n=+{n} m=0{m}", f"PALOG v1 n=x m={m}",
+        f"PALOG v1 n={n} n={m}", f"PALOG v1 n={n}m={m}", f"PALOG v1 n=={n} m={m}",
+        f"PALOG\tv1  n={n} m={m} ", f"palog v1 n={n} m={m}",
+    ]
+    if draw(st.booleans()):
+        lines[:] = [f"PALOG v1 n={10**12} m={m}"] + lines[1:2]
+    else:
+        lines[0] = draw(st.sampled_from(variants))
+
+
+_MUTATIONS = [
+    _drop, _duplicate, _swap, _add_token, _remove_token, _bad_token, _target_too_large,
+    _blank_line, _respace, _header,
+]
+
+
+@st.composite
+def mutated_palog(draw):
+    """PALOG text of a random log after one to three of the mutations above,
+    with LF, CRLF or CR line ends."""
+    g = draw(attachment_logs())
+    lines = format_palog_by_line(g).split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        if lines:
+            draw(st.sampled_from(_MUTATIONS))(draw, lines, g)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PalogError as exc:
+        return type(exc)
+
+
+# One line with two faults: the earlier class in the priority order wins.
+@example("PALOG v1 n=3 m=1\n3 0 0\n2 0\n")
+@example("PALOG v1 n=3 m=1\n2 x 0\n3 1\n")
+@given(mutated_palog())
+def test_palog_parse_matches_per_line_oracle(text):
+    assert _outcome(parse_palog, text) == _outcome(parse_palog_by_line, text)
+
+
+def test_palog_grammar():
+    # The per-line parser used int(), which also took non-ASCII digits,
+    # digit-group underscores and other Unicode whitespace; PALOG v1 is ASCII.
+    for row in ("2 \u0663", "2 0_0", "2\u00a00", "2 0\x0b", "\u0662 0"):
+        with pytest.raises(PalogError) as info:
+            parse_palog(f"PALOG v1 n=2 m=1\n{row}\n")
+        assert type(info.value) is PalogError
+    for too_long in ("0" * 18 + "1", "9" * 20):  # the second overflowed int64
+        with pytest.raises(PalogError, match="unparsable"):
+            parse_palog(f"PALOG v1 n=2 m=1\n2 {too_long}\n")
+    assert parse_palog("PALOG v1 n=2 m=1\n2 " + "0" * 18 + "\n").row(2).tolist() == [0]
+
+
+@example(AttachmentLog(1, 2, []))  # tau_prime = 0 lets vertex 1 in only when n = 1
+@given(attachment_logs())
+def test_bold_vertices_matches_definition(g):
+    for tau_prime in range(g.n):
+        assert bold_vertices(g, tau_prime).members.tolist() == bold_vertices_by_definition(
+            g, tau_prime
+        )
+
+
+@given(attachment_logs())
+def test_tail_counts_sum_to_excess_degree(g):
+    for t in range(1, g.n + 1):
+        assert int(degree_tail_counts(g, upto=t).tail.sum()) == g.m * (t - 1)

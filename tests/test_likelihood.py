@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pacp import DeltaProfile, apply_permutation, from_rows, simulate
 from pacp.errors import DomainError
 from pacp.likelihood import LogLik, log_likelihood, log_lr, s_product_ratio, s_value
 from pacp.reduction import kernel_sample
 
-from helpers import count_support, support_graphs
+from helpers import attachment_logs, count_support, support_graphs
 
 
 def test_s_value_examples():
@@ -128,6 +130,16 @@ def test_two_form_agreement_random():
         tail = log_lr(g, tau, d0, d1, method="tail")
         seq = log_lr(g, tau, d0, d1, method="sequential")
         assert abs(tail - seq) <= 1e-10
+
+
+@given(attachment_logs(), st.data())
+def test_two_forms_agree_on_any_log(g, data):
+    tau = data.draw(st.integers(1, g.n))
+    d0 = data.draw(st.floats(-0.99 * g.m, 5.0))
+    d1 = data.draw(st.floats(-0.99 * g.m, 5.0))
+    tail = log_lr(g, tau, d0, d1, method="tail")
+    seq = log_lr(g, tau, d0, d1, method="sequential")
+    assert abs(tail - seq) <= 1e-10
 
 
 def test_null_likelihood_is_label_invariant():
