@@ -45,7 +45,7 @@ from .reduction import (
     permuted_lr,
     second_moment_probe,
 )
-from .simulation import DeltaProfile, SamplerState, sample_attachment, simulate
+from .simulation import DeltaProfile, simulate
 from .theory import (
     DegreeLaw,
     MomentCoeffs,
@@ -73,7 +73,6 @@ __all__ = [
     "MleResult",
     "MomentCoeffs",
     "ReductionContext",
-    "SamplerState",
     "TestVerdict",
     "TruncatedSeries",
     "apply_permutation",
@@ -103,7 +102,6 @@ __all__ = [
     "plugin_lr_test",
     "s_product_ratio",
     "s_value",
-    "sample_attachment",
     "save_palog",
     "score",
     "score_limit",

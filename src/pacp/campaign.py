@@ -12,13 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["replicate_rng", "resolve_threads", "run_replicates"]
-
-
-def replicate_rng(master_seed: int, *stream) -> np.random.Generator:
-    """Independent generator for one replicate of a campaign."""
-    key = (int(master_seed),) + tuple(int(s) for s in stream)
-    return np.random.default_rng(key)
+__all__ = ["resolve_threads", "run_replicates"]
 
 
 def resolve_threads(threads: int | None = None) -> int:

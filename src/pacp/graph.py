@@ -58,15 +58,12 @@ class AttachmentLog:
                 f"expected {(n - 1) * m} targets for n={n}, m={m}, got shape {arr.shape}"
             )
         if validate and n > 1:
-            arrivals = np.repeat(np.arange(2, n + 1, dtype=np.int64), m)
             if (arr < 0).any():
                 raise PalogError("negative target label")
-            bad = arr >= arrivals
+            bad = arr.reshape(n - 1, m) >= np.arange(2, n + 1, dtype=np.int64)[:, None]
             if bad.any():
-                j = int(np.flatnonzero(bad)[0])
-                raise TargetTooLarge(
-                    f"arrival {int(arrivals[j])} records target {int(arr[j])}"
-                )
+                j = int(np.argmax(bad))
+                raise TargetTooLarge(f"arrival {j // m + 2} records target {int(arr[j])}")
         arr.setflags(write=False)
         self.n = int(n)
         self.m = int(m)

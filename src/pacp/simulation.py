@@ -1,11 +1,15 @@
 """Exact simulation of the time-inhomogeneous affine attachment mechanism.
 
 Each sub-step attaches one edge from the newest vertex t to a previous vertex
-v with probability (d(v) + delta(t)) / ((2m + delta(t)) t - 2m + i - 1).  The
-sampler is a binary indexed tree over per-vertex weights: O(log n) per draw
-and per degree update, valid on the whole parameter range delta > -m.  The
+v with probability (d(v) + delta(t)) / ((2m + delta(t)) t - 2m + i - 1).
+Since d(v) = m + hits(v), a block of h consecutive vertices weighs its hit
+count plus h (m + delta).  The sampler keeps a binary indexed tree over the
+integer hit counts only and adds the affine part h (m + delta) per level of
+the descent, so a change of delta at tau touches no per-vertex state, a new
+vertex joins the pool with no update, and the tree never drifts.  A draw and
+its hit update are O(log n) each, on the whole range delta > -m.  The
 normalizing total is always taken from the closed form, never read back from
-the tree, so float drift cannot accumulate over millions of steps.
+the tree.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .graph import AttachmentLog
 
-__all__ = ["DeltaProfile", "SamplerState", "sample_attachment", "simulate"]
+__all__ = ["DeltaProfile", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -58,277 +62,46 @@ class DeltaProfile:
             if not 0 <= self.tau <= n:
                 raise DomainError(f"tau must lie in 0..{n}, got {self.tau}")
 
-    def delta_at(self, t: int) -> float:
-        if self.tau is None or t <= self.tau:
-            return self.delta0
-        return self.delta1
 
-
-# ---------------------------------------------------------------------------
-# Fenwick tree primitives (1-based indices; vertex v lives at index v + 1)
-# ---------------------------------------------------------------------------
-
-def _ft_add(tree: list, size: int, idx: int, dv: float) -> None:
-    while idx <= size:
-        tree[idx] += dv
-        idx += idx & -idx
-
-
-def _ft_build(leaves: list) -> list:
-    # leaves[0] unused; in-place O(size) construction
-    tree = list(leaves)
-    size = len(tree) - 1
-    for idx in range(1, size + 1):
-        par = idx + (idx & -idx)
-        if par <= size:
-            tree[par] += tree[idx]
-    return tree
-
-
-def _ft_find(tree: list, size: int, top: int, s: float) -> int:
-    """Largest j with prefix_sum(j) < s; the sampled 0-based vertex."""
-    j = 0
-    half = top
-    while half:
-        k = j + half
-        if k <= size and tree[k] < s:
-            s -= tree[k]
-            j = k
-        half >>= 1
-    return j
-
-
-def _top_bit(size: int) -> int:
-    return 1 << (size.bit_length() - 1)
-
-
-def _attach_kernel_py(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndarray:
+def _attach_kernel(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndarray:
     """Draw all targets for arrivals 2..n, consuming uniforms in order.
 
     ``tau`` is the last arrival governed by d0; pass tau >= n for a constant
-    profile.  One O(n) weight rebuild happens when the parameter switches.
+    profile.  Vertex v lives at tree index v + 1; the descent never reads an
+    index above t, so only the pool 0..t-1 can be drawn.
     """
-    size = n + 1
-    top = _top_bit(size)
-    deg = [0] * (n + 1)
-    deg[0] = m
-    deg[1] = m
-    delta = d0 if 2 <= tau else d1
-    tree = [0.0] * (size + 1)
-    _ft_add(tree, size, 1, m + delta)
-    _ft_add(tree, size, 2, m + delta)
+    tree = [0] * (n + 1)
     out = np.empty((n - 1) * m, dtype=np.int64)
     ul = u.tolist()
     two_m = 2 * m
+    halves = [1 << b for b in range(n.bit_length() - 1, -1, -1)]
+    delta = d0 if tau >= 2 else d1
+    levels = [(h, h * (m + delta)) for h in halves]
     pos = 0
     for t in range(2, n + 1):
         if t == tau + 1:
             delta = d1
-            leaves = [0.0] * (size + 1)
-            for v in range(t):
-                leaves[v + 1] = deg[v] + delta
-            tree = _ft_build(leaves)
+            levels = [(h, h * (m + delta)) for h in halves]
         s_base = (two_m + delta) * t - two_m
         for i in range(m):
             s = ul[pos] * (s_base + i)
             j = 0
-            half = top
-            while half:
+            for half, affine in levels:
                 k = j + half
-                if k <= size and tree[k] < s:
-                    s -= tree[k]
-                    j = k
-                half >>= 1
+                if k <= t:
+                    w = tree[k] + affine
+                    if w < s:
+                        s -= w
+                        j = k
             if j >= t:  # guards the <= 1 ulp gap between closed form and tree total
                 j = t - 1
             out[pos] = j
             pos += 1
-            deg[j] += 1
-            idx = j + 1
-            while idx <= size:
-                tree[idx] += 1.0
-                idx += idx & -idx
-        deg[t] = m
-        if t < n and t != tau:
-            _ft_add(tree, size, t + 1, m + delta)
+            j += 1
+            while j <= n:
+                tree[j] += 1
+                j += j & -j
     return out
-
-
-def _numba_kernel():
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(cache=True)
-    def kernel(n, m, d0, d1, tau, u):  # pragma: no cover - mirrors _attach_kernel_py
-        size = n + 1
-        top = 1
-        while top * 2 <= size:
-            top *= 2
-        deg = np.zeros(n + 1, dtype=np.int64)
-        deg[0] = m
-        deg[1] = m
-        delta = d0 if 2 <= tau else d1
-        tree = np.zeros(size + 1, dtype=np.float64)
-        for start in (1, 2):
-            idx = start
-            while idx <= size:
-                tree[idx] += m + delta
-                idx += idx & -idx
-        out = np.empty((n - 1) * m, dtype=np.int64)
-        two_m = 2 * m
-        pos = 0
-        for t in range(2, n + 1):
-            if t == tau + 1:
-                delta = d1
-                tree = np.zeros(size + 1, dtype=np.float64)
-                for v in range(t):
-                    tree[v + 1] = deg[v] + delta
-                for idx in range(1, size + 1):
-                    par = idx + (idx & -idx)
-                    if par <= size:
-                        tree[par] += tree[idx]
-            s_base = (two_m + delta) * t - two_m
-            for i in range(m):
-                s = u[pos] * (s_base + i)
-                j = 0
-                half = top
-                while half:
-                    k = j + half
-                    if k <= size and tree[k] < s:
-                        s -= tree[k]
-                        j = k
-                    half >>= 1
-                if j >= t:
-                    j = t - 1
-                out[pos] = j
-                pos += 1
-                deg[j] += 1
-                idx = j + 1
-                while idx <= size:
-                    tree[idx] += 1.0
-                    idx += idx & -idx
-            deg[t] = m
-            if t < n and t != tau:
-                idx = t + 1
-                w = m + delta
-                while idx <= size:
-                    tree[idx] += w
-                    idx += idx & -idx
-        return out
-
-    return kernel
-
-
-_JIT_KERNEL = _numba_kernel()
-
-
-def _attach_kernel(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndarray:
-    if _JIT_KERNEL is not None:
-        return _JIT_KERNEL(n, m, float(d0), float(d1), tau, u)
-    return _attach_kernel_py(n, m, d0, d1, tau, u)
-
-
-class SamplerState:
-    """Weight table of a graph under construction, positioned at sub-step (t, i).
-
-    The pool is vertices 0..t-1 with weights d(v) + delta(t); the stored total
-    equals (2m + delta(t)) t - 2m + (i - 1) exactly up to float rounding and is
-    re-derived from that closed form at every draw.
-    """
-
-    __slots__ = ("n_max", "m", "profile", "t", "i", "_deg", "_tree", "_size", "_top", "_delta")
-
-    def __init__(self, n_max: int, m: int, profile: DeltaProfile):
-        profile.validate(n_max, m)
-        self.n_max = n_max
-        self.m = m
-        self.profile = profile
-        self._size = n_max + 1
-        self._top = _top_bit(self._size)
-        self._deg = [0] * (n_max + 1)
-        self._deg[0] = m
-        self._deg[1] = m
-        self.t = 2
-        self.i = 1
-        self._delta = profile.delta_at(2)
-        self._tree = [0.0] * (self._size + 1)
-        _ft_add(self._tree, self._size, 1, self.m + self._delta)
-        _ft_add(self._tree, self._size, 2, self.m + self._delta)
-
-    @classmethod
-    def from_prefix(cls, g: AttachmentLog, t: int, i: int, profile: DeltaProfile) -> "SamplerState":
-        """State just before sub-step (t, i) of an existing log's replay."""
-        if not (2 <= t <= g.n and 1 <= i <= g.m):
-            raise ValueError(f"sub-step ({t}, {i}) out of range for n={g.n}, m={g.m}")
-        state = cls(g.n, g.m, profile)
-        for s in range(2, t):
-            state._deg[s] = g.m
-        flat = g.targets[: (t - 2) * g.m + (i - 1)].tolist()
-        for v in flat:
-            state._deg[v] += 1
-        state.t = t
-        state.i = i
-        state._delta = profile.delta_at(t)
-        leaves = [0.0] * (state._size + 1)
-        for v in range(t):
-            leaves[v + 1] = state._deg[v] + state._delta
-        state._tree = _ft_build(leaves)
-        return state
-
-    @property
-    def total(self) -> float:
-        return (2 * self.m + self._delta) * self.t - 2 * self.m + (self.i - 1)
-
-    def degree(self, v: int) -> int:
-        return self._deg[v]
-
-    def pmf(self) -> np.ndarray:
-        """Exact attachment probabilities over the pool 0..t-1."""
-        d = np.asarray(self._deg[: self.t], dtype=np.float64)
-        return (d + self._delta) / self.total
-
-    def draw(self, u: float) -> int:
-        v = _ft_find(self._tree, self._size, self._top, u * self.total)
-        return min(v, self.t - 1)
-
-    def attach(self, v: int) -> None:
-        """Record that the current sub-step chose v, and advance the position."""
-        if not 0 <= v < self.t:
-            raise ValueError(f"target {v} outside pool 0..{self.t - 1}")
-        self._deg[v] += 1
-        _ft_add(self._tree, self._size, v + 1, 1.0)
-        if self.i < self.m:
-            self.i += 1
-            return
-        self._deg[self.t] = self.m
-        t_next = self.t + 1
-        if t_next > self.n_max:
-            self.t = t_next
-            self.i = 1
-            return
-        delta_next = self.profile.delta_at(t_next)
-        if delta_next != self._delta:
-            self._delta = delta_next
-            leaves = [0.0] * (self._size + 1)
-            for v2 in range(self.t + 1):
-                leaves[v2 + 1] = self._deg[v2] + delta_next
-            self._tree = _ft_build(leaves)
-        else:
-            _ft_add(self._tree, self._size, self.t + 1, self.m + self._delta)
-        self.t = t_next
-        self.i = 1
-
-
-def sample_attachment(state: SamplerState, t: int, i: int, rng: np.random.Generator) -> int:
-    """One exact draw from the attachment law at sub-step (t, i).
-
-    The state must already be positioned at (t, i); the draw does not mutate it.
-    """
-    if (t, i) != (state.t, state.i):
-        raise ValueError(f"state is at sub-step {(state.t, state.i)}, not {(t, i)}")
-    return state.draw(rng.random())
 
 
 def simulate(n: int, m: int, profile: DeltaProfile, seed) -> AttachmentLog:
@@ -340,10 +113,7 @@ def simulate(n: int, m: int, profile: DeltaProfile, seed) -> AttachmentLog:
     if n < 1 or m < 1:
         raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
     profile.validate(n, m)
-    if n == 1:
-        return AttachmentLog(1, m, np.empty(0, dtype=np.int64), validate=False)
-    rng = np.random.default_rng(seed)
-    u = rng.random((n - 1) * m)
+    u = np.random.default_rng(seed).random((n - 1) * m)
     tau = profile.tau if profile.is_step else n
     d1 = profile.delta1 if profile.is_step else profile.delta0
     targets = _attach_kernel(n, m, profile.delta0, d1, tau, u)

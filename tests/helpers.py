@@ -1,7 +1,8 @@
 """Shared oracles for the test suite: exhaustive support enumeration,
 factorial brute force over label permutations, a per-edge degree replay, the
 per-line PALOG formatter and parser, the relabelable set by its definition,
-a pooled chi-square and the hypothesis strategy for attachment logs."""
+a pooled chi-square, the hypothesis strategy for attachment logs and the
+float-weight Fenwick sampler that fixes every seeded stream."""
 
 import itertools
 import math
@@ -174,3 +175,79 @@ def attachment_logs(draw):
     m = draw(st.integers(1, 3))
     targets = [draw(st.integers(0, t - 1)) for t in range(2, n + 1) for _ in range(m)]
     return AttachmentLog(n, m, np.asarray(targets, dtype=np.int64))
+
+
+# The attachment sampler as a binary indexed tree over float weights
+# d(v) + delta, with an O(n) rebuild at tau: the stream oracle for simulate.
+
+def _ft_add(tree: list, size: int, idx: int, dv: float) -> None:
+    while idx <= size:
+        tree[idx] += dv
+        idx += idx & -idx
+
+
+def _ft_build(leaves: list) -> list:
+    # leaves[0] unused; in-place O(size) construction
+    tree = list(leaves)
+    size = len(tree) - 1
+    for idx in range(1, size + 1):
+        par = idx + (idx & -idx)
+        if par <= size:
+            tree[par] += tree[idx]
+    return tree
+
+
+def _top_bit(size: int) -> int:
+    return 1 << (size.bit_length() - 1)
+
+
+def attach_kernel_float_tree(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndarray:
+    """Draw all targets for arrivals 2..n, consuming uniforms in order.
+
+    ``tau`` is the last arrival governed by d0; pass tau >= n for a constant
+    profile.  One O(n) weight rebuild happens when the parameter switches.
+    """
+    size = n + 1
+    top = _top_bit(size)
+    deg = [0] * (n + 1)
+    deg[0] = m
+    deg[1] = m
+    delta = d0 if 2 <= tau else d1
+    tree = [0.0] * (size + 1)
+    _ft_add(tree, size, 1, m + delta)
+    _ft_add(tree, size, 2, m + delta)
+    out = np.empty((n - 1) * m, dtype=np.int64)
+    ul = u.tolist()
+    two_m = 2 * m
+    pos = 0
+    for t in range(2, n + 1):
+        if t == tau + 1:
+            delta = d1
+            leaves = [0.0] * (size + 1)
+            for v in range(t):
+                leaves[v + 1] = deg[v] + delta
+            tree = _ft_build(leaves)
+        s_base = (two_m + delta) * t - two_m
+        for i in range(m):
+            s = ul[pos] * (s_base + i)
+            j = 0
+            half = top
+            while half:
+                k = j + half
+                if k <= size and tree[k] < s:
+                    s -= tree[k]
+                    j = k
+                half >>= 1
+            if j >= t:  # guards the <= 1 ulp gap between closed form and tree total
+                j = t - 1
+            out[pos] = j
+            pos += 1
+            deg[j] += 1
+            idx = j + 1
+            while idx <= size:
+                tree[idx] += 1.0
+                idx += idx & -idx
+        deg[t] = m
+        if t < n and t != tau:
+            _ft_add(tree, size, t + 1, m + delta)
+    return out

@@ -55,6 +55,8 @@ def test_from_rows_rejects_bad_input():
         from_rows(2, 1, {2: [0], 3: [0]})
     with pytest.raises(PalogError):
         from_rows(2, 1, {2: [-1]})
+    with pytest.raises(TargetTooLarge, match=r"^arrival 3 records target 5$"):
+        from_rows(4, 2, {2: [0, 1], 3: [0, 5], 4: [4, 0]})
 
 
 def test_tail_counts_base_graph():

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from pacp import AttachmentLog, DeltaProfile, SamplerState, sample_attachment, simulate
+from pacp import AttachmentLog, DeltaProfile, simulate
 from pacp.errors import DomainError
 from pacp.likelihood import log_likelihood
 
-from helpers import chi2_gof_pvalue, count_support, support_graphs
+from helpers import attach_kernel_float_tree, chi2_gof_pvalue, count_support, support_graphs
 
 
 def test_profile_validation():
@@ -60,48 +64,40 @@ def test_two_vertex_frequency():
     assert abs(p - 0.5) <= 3 * sigma
 
 
-def test_sampler_state_pmf_examples():
-    state = SamplerState(2, 1, DeltaProfile.constant(0.0))
-    assert np.allclose(state.pmf(), [0.5, 0.5])
-    # after {2: [0]} the degrees are (2, 1, 1); with delta=1 the law is (3, 2, 2)/7
-    from pacp import from_rows
-
-    g = from_rows(2, 1, {2: [0]})
-    state = SamplerState.from_prefix(g, 2, 1, DeltaProfile.constant(1.0))
-    state.attach(0)
-    assert state.t == 3 and state.i == 1
-    assert state.total == 7.0
-    assert np.allclose(state.pmf(), [3 / 7, 2 / 7, 2 / 7])
-
-
-def test_sampler_matches_exact_pmf_chisquare():
-    from pacp import from_rows
-
-    g = from_rows(3, 2, {2: [0, 1], 3: [0, 0]})
-    state = SamplerState.from_prefix(g, 3, 2, DeltaProfile.constant(0.7))
-    probs = state.pmf()
-    rng = np.random.default_rng(16)
-    draws = 10**5
-    counts = np.bincount(
-        [sample_attachment(state, 3, 2, rng) for _ in range(draws)], minlength=len(probs)
-    )
-    assert chi2_gof_pvalue(counts, probs) > 0.001
+@st.composite
+def stream_cases(draw):
+    """Sizes, a profile of any tau class and a seed; each delta is -m + k/30
+    with 3 not dividing k, so block weights round in the last bit."""
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(1, 3))
+    deltas = st.integers(1, 30 * (m + 5) - 1).filter(lambda k: k % 3).map(lambda k: -m + k / 30)
+    d0 = draw(deltas)
+    if draw(st.booleans()):
+        profile = DeltaProfile.constant(d0)
+    else:
+        tau = draw(st.one_of(st.just(0), st.integers(0, n), st.just(n)))
+        profile = DeltaProfile.step(d0, draw(deltas), tau)
+    return n, m, profile, draw(st.integers(0, 2**64 - 1))
 
 
-def test_sampler_state_replays_simulate_stream():
-    # driving a SamplerState with the same uniforms reproduces simulate()
-    n, m = 25, 2
-    profile = DeltaProfile.step(0.5, -0.4, 17)
-    seed = 777
-    g = simulate(n, m, profile, seed)
+@given(stream_cases())
+@example((64, 3, DeltaProfile.step(0.3, -1.7, 40), 8))
+def test_stream_matches_float_tree_oracle(case):
+    # the hit-count tree must reproduce the float-weight tree's stream exactly;
+    # at n = 2**k the last arrival reads tree[n], the node every hit updates
+    n, m, profile, seed = case
     u = np.random.default_rng(seed).random((n - 1) * m)
-    state = SamplerState(n, m, profile)
-    replay = []
-    for value in u:
-        v = state.draw(float(value))
-        replay.append(v)
-        state.attach(v)
-    assert replay == g.targets.tolist()
+    tau = profile.tau if profile.is_step else n
+    d1 = profile.delta1 if profile.is_step else profile.delta0
+    expected = attach_kernel_float_tree(n, m, profile.delta0, d1, tau, u)
+    assert np.array_equal(simulate(n, m, profile, seed).targets, expected)
+
+
+def test_stream_digest_large():
+    # recorded with the float-weight Fenwick sampler the hit-count tree replaced
+    g = simulate(100_000, 3, DeltaProfile.step(0.3, -1.7, 60_000), 20260)
+    digest = hashlib.sha256(g.targets.astype("<i8").tobytes()).hexdigest()
+    assert digest == "1842f487f90d46e112d210967cce9c58b2ffc3e21284165dbc9e994f56eb556b"
 
 
 def test_empirical_law_matches_likelihood_chisquare():
@@ -138,19 +134,6 @@ def test_empirical_step_law_matches_likelihood_chisquare():
         g = simulate(n, m, profile, (23, r))
         counts[index[g]] += 1
     assert chi2_gof_pvalue(counts, probs, min_expected=10.0) > 0.001
-
-
-def test_jit_and_python_kernels_bit_identical():
-    import pacp.simulation as sim
-
-    if sim._JIT_KERNEL is None:
-        pytest.skip("numba not available; only the python kernel is in play")
-    rng = np.random.default_rng(25)
-    for n, m, tau in ((2, 1, 0), (3, 1, 1), (50, 1, 50), (200, 2, 150), (999, 3, 500)):
-        u = rng.random((n - 1) * m)
-        a = sim._attach_kernel_py(n, m, 0.3, 1.7, tau, u)
-        b = sim._JIT_KERNEL(n, m, 0.3, 1.7, tau, u)
-        assert np.array_equal(a, b), (n, m, tau)
 
 
 def test_negative_delta_regime():
