@@ -36,6 +36,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _replicate_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least one replicate, got {count}")
+    return count
+
+
 def _profile_from(args, n: int) -> DeltaProfile:
     if args.delta1 is None and args.tau is None:
         return DeltaProfile.constant(args.delta0)
@@ -424,7 +431,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta1", type=float)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--replicates", type=int)
+    p.add_argument("--replicates", type=_replicate_count)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int)
     p.add_argument("--csv", help="per-replicate table destination")
@@ -438,7 +445,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--tau", type=int)
-    p.add_argument("--replicates", type=int)
+    p.add_argument("--replicates", type=_replicate_count)
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int)
     p.add_argument("--csv", help="profile or per-replicate table destination")
@@ -464,7 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau", type=int)
     p.add_argument("--tau-prime", type=int, required=True, dest="tau_prime")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--replicates", type=int, required=True)
+    p.add_argument("--replicates", type=_replicate_count, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=1.0)

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, NoInteriorRoot
 from .graph import AttachmentLog, window_tail_diff
@@ -32,21 +31,39 @@ __all__ = [
 SCORE_TOL = 1e-10
 DELTA_MAX = 1e6
 GUARD_FACTOR = 1e-9  # admissible deltas start at -m + GUARD_FACTOR * m
+MAX_ITERATIONS = 100
+_XTOL = float(np.finfo(float).tiny)
+_RTOL = 4 * float(np.finfo(float).eps)
 
 
 def _window_score(g: AttachmentLog, window: tuple[int, int]):
     """The window's score as a function of delta, with the tail-count
-    increments and the arrival grid computed once."""
+    increments and the arrival grid computed once.
+
+    Each sub-step's normalizer term is t/S = 1/(m + delta + (m(t-2) + i)/t),
+    with S = (2m + delta)t - 2m + i: a sum of non-negative parts, so S keeps
+    its relative accuracy as delta nears -m, and one evaluation costs one
+    addition and one reciprocal per sub-step.  ``score_fn(delta, slope=True)``
+    also returns the score's derivative in delta,
+    sum t^2/S^2 - sum diff/(k+delta)^2, from the same arrays.
+    """
     lo, hi = window
     m = g.m
     diff = window_tail_diff(g, lo, hi)
     k = np.arange(m, m + len(diff), dtype=np.float64)
     t = np.arange(max(lo, 2), hi + 1, dtype=np.float64)[:, None]
-    i = np.arange(m, dtype=np.float64)[None, :]
+    c = (m * (t - 2) + np.arange(m, dtype=np.float64)[None, :]) / t
 
-    def score_fn(delta: float) -> float:
-        s = (2 * m + delta) * t - 2 * m + i
-        return float((diff / (k + delta)).sum()) - float((t / s).sum())
+    def score_fn(delta: float, slope: bool = False):
+        r = (m + delta) + c
+        np.reciprocal(r, out=r)
+        kd = k + delta
+        u = diff / kd
+        value = float(u.sum()) - float(r.sum())
+        if not slope:
+            return value
+        r = r.ravel()
+        return value, float(r @ r) - float((u / kd).sum())
 
     return score_fn
 
@@ -113,10 +130,27 @@ class MleResult:
 
 
 def _solve_window(score_fn, m: int, window: tuple[int, int]) -> WindowFit:
-    """Expanding-bracket + Brent root search on (-m + guard, DELTA_MAX].
+    """Root of one window's score on the admissible interval
+    (-m + guard, DELTA_MAX].
 
-    The score need not be globally monotone, but it is continuous; failure to
-    find a sign change is reported as no_interior_root, never forced.
+    An expanding search from delta = 0 first finds a bracket (a, b) with
+    score(a) >= 0 >= score(b): doubling toward DELTA_MAX when score(0) > 0,
+    halving the gap to -m when score(0) < 0.  The score need not be globally
+    monotone, but it is continuous; when no sign change turns up, the window
+    reports no_interior_root with the last bracket tried, never a forced
+    estimate.
+
+    The bracket is then polished by safeguarded Newton steps on the score's
+    analytic slope, starting from the bracket's secant point.  Every
+    evaluated point replaces the bracket end of its sign, so the root stays
+    bracketed.  A Newton step that would leave the bracket, as every step
+    taken where the slope is not negative would, is replaced by bisection.
+    The search stops when the score is exactly 0, when the step (Newton or
+    bisection) falls below (xtol + rtol|x|)/2 with xtol = tiny and
+    rtol = 4 eps, or after MAX_ITERATIONS evaluations.  The estimate is the
+    last evaluated point; it counts as converged when |score| <= SCORE_TOL.
+    ``bracket`` and ``bracket_scores`` are those of the search, before
+    polishing; ``iterations`` counts the polishing evaluations.
     """
     guard = -m + GUARD_FACTOR * m
     s0 = score_fn(0.0)
@@ -147,15 +181,34 @@ def _solve_window(score_fn, m: int, window: tuple[int, int]) -> WindowFit:
                 return WindowFit(window, "no_interior_root", None, None, (a, b), (sa, s0), 0)
             b, sb = a, sa
             gap /= 2.0
-    # invariant: score(a) >= 0 >= score(b); brentq polishes to float precision
-    lo, s_lo, hi, s_hi = (a, sa, b, sb) if a < b else (b, sb, a, sa)
-    root, res = brentq(
-        score_fn, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps,
-        full_output=True, disp=False,
-    )
-    s_root = score_fn(root)
-    status = "converged" if abs(s_root) <= SCORE_TOL else "max_iterations"
-    return WindowFit(window, status, root, s_root, (lo, hi), (s_lo, s_hi), res.iterations)
+    bracket, bracket_scores = (a, b), (sa, sb)
+    # invariant: a < b and score(a) >= 0 >= score(b), with sa - sb > 0
+    x = a + sa / (sa - sb) * (b - a)
+    iterations = 0
+    while True:
+        iterations += 1
+        s, slope = score_fn(x, slope=True)
+        if s == 0.0 or iterations >= MAX_ITERATIONS:
+            break
+        if s > 0:
+            a = x
+        else:
+            b = x
+        tol = 0.5 * (_XTOL + _RTOL * abs(x))
+        # x is now a bracket end, so a Newton step points into the bracket
+        # exactly when the slope is negative
+        step = s / slope if slope < 0.0 else math.inf
+        if abs(step) < tol:
+            break
+        nxt = x - step
+        if not a < nxt < b:
+            step = 0.5 * (b - a)
+            nxt = a + step
+            if step < tol:
+                break
+        x = nxt
+    status = "converged" if abs(s) <= SCORE_TOL else "max_iterations"
+    return WindowFit(window, status, x, s, bracket, bracket_scores, iterations)
 
 
 def mle(g: AttachmentLog, tau: int) -> MleResult:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .graph import AttachmentLog, substep_degrees, window_tail_diff
@@ -76,6 +75,8 @@ def _hist_dot(hist: np.ndarray, values: np.ndarray) -> float:
 
 def _numerator_block(hist: np.ndarray, m: int, delta: float) -> float:
     """Sum over vertices of log[(m+d)(m+1+d)...(deg-1+d)] from a degree histogram."""
+    from scipy.special import gammaln  # scipy loads only when a likelihood is evaluated
+
     d = np.arange(m, m + len(hist), dtype=np.float64)
     vals = gammaln(d + delta) - gammaln(m + delta)
     return _hist_dot(hist, vals)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .likelihood import BoundedValue, log_s_sum
@@ -41,6 +40,8 @@ def limit_degree_pmf(k, m: int, delta: float):
     p_k = (2 + d/m) * Gamma(k+d) Gamma(m+2+d+d/m) / [Gamma(m+d) Gamma(k+3+d+d/m)],
     defined for k >= m.  Accepts scalar or array k.
     """
+    from scipy.special import gammaln  # scipy loads only when the limit law is evaluated
+
     if delta <= -m:
         raise DomainError(f"delta must be > -m = {-m}")
     karr = np.asarray(k, dtype=np.float64)

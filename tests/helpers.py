@@ -1,18 +1,21 @@
 """Shared oracles for the test suite: exhaustive support enumeration,
 factorial brute force over label permutations, a per-edge degree replay, the
 per-line PALOG formatter and parser, the relabelable set by its definition,
-a pooled chi-square, the hypothesis strategy for attachment logs and the
-float-weight Fenwick sampler that fixes every seeded stream."""
+a pooled chi-square, the hypothesis strategy for attachment logs, the
+float-weight Fenwick sampler that fixes every seeded stream and the Brent
+window root-finder that the Newton polish replaced."""
 
 import itertools
 import math
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import chi2
 
 from pacp import AttachmentLog, apply_permutation, bold_vertices
 from pacp.errors import MissingRow, PalogError, WrongOutDegree
+from pacp.inference import DELTA_MAX, GUARD_FACTOR, SCORE_TOL, WindowFit
 from pacp.likelihood import log_lr
 
 
@@ -251,3 +254,46 @@ def attach_kernel_float_tree(n: int, m: int, d0: float, d1: float, tau: int, u) 
         if t < n and t != tau:
             _ft_add(tree, size, t + 1, m + delta)
     return out
+
+
+def solve_window_brentq(score_fn, m, window):
+    """Expanding-bracket + Brent root search on (-m + guard, DELTA_MAX]: the
+    window solver before the Newton polish, kept as its oracle."""
+    guard = -m + GUARD_FACTOR * m
+    s0 = score_fn(0.0)
+    if s0 == 0.0:
+        return WindowFit(window, "converged", 0.0, 0.0, (0.0, 0.0), (0.0, 0.0), 0)
+    if s0 > 0:
+        a, sa = 0.0, s0
+        b = 1.0
+        while True:
+            sb = score_fn(b)
+            if sb <= 0:
+                break
+            if b >= DELTA_MAX:
+                return WindowFit(window, "no_interior_root", None, None, (a, b), (s0, sb), 0)
+            a, sa = b, sb
+            b = min(b * 2.0, DELTA_MAX)
+    else:
+        b, sb = 0.0, s0
+        gap = m / 2.0
+        while True:
+            a = -m + gap
+            if a < guard:
+                a = guard
+            sa = score_fn(a)
+            if sa >= 0:
+                break
+            if a <= guard:
+                return WindowFit(window, "no_interior_root", None, None, (a, b), (sa, s0), 0)
+            b, sb = a, sa
+            gap /= 2.0
+    # invariant: score(a) >= 0 >= score(b); brentq polishes to float precision
+    lo, s_lo, hi, s_hi = (a, sa, b, sb) if a < b else (b, sb, a, sa)
+    root, res = brentq(
+        score_fn, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps,
+        full_output=True, disp=False,
+    )
+    s_root = score_fn(root)
+    status = "converged" if abs(s_root) <= SCORE_TOL else "max_iterations"
+    return WindowFit(window, status, root, s_root, (lo, hi), (s_lo, s_hi), res.iterations)

@@ -120,6 +120,19 @@ def test_exit_codes_table(tmp_path, capsys):
             capsys,
         )
         assert code == 2 and payload["error"]["type"] == "usage"
+    campaigns = (
+        ["test", "--mode", "plugin", "--tau", "3", "--n", "5", "--m", "1", "--delta0", "0",
+         "--delta1", "1", "--seed", "1"],
+        ["localize", "--tau", "3", "--n", "5", "--m", "1", "--delta0", "0", "--delta1", "1",
+         "--seed", "1"],
+        ["contiguity", "--probe", "martingale", "--n", "100", "--m", "1", "--delta0", "0",
+         "--delta1", "1", "--tau-prime", "50", "--seed", "1"],
+    )
+    for argv in campaigns:
+        for count in ("0", "-2"):
+            code, payload = run_cli(argv + ["--replicates", count], capsys)
+            assert code == 2 and payload["error"]["type"] == "usage", (argv[0], count)
+            assert "replicate" in payload["error"]["message"]
 
     # domain errors from the library -> 3
     p = tmp_path / "tiny.palog"

@@ -2,11 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pacp import DeltaProfile, from_rows, simulate
+from pacp import AttachmentLog, DeltaProfile, from_rows, simulate
 from pacp.errors import DomainError, NoInteriorRoot
-from pacp.inference import localize_tau, lr_test, mle, plugin_lr_test, score
+from pacp.inference import (
+    GUARD_FACTOR,
+    SCORE_TOL,
+    _solve_window,
+    _window_score,
+    localize_tau,
+    lr_test,
+    mle,
+    plugin_lr_test,
+    score,
+)
 from pacp.likelihood import log_likelihood, log_lr
+
+from helpers import solve_window_brentq
 
 
 def test_score_worked_examples():
@@ -29,6 +43,81 @@ def test_score_window_additivity():
         score(g, (0, 10), 0.0)
     with pytest.raises(DomainError):
         score(g, (1, 10), -2.0)
+
+
+def _solve_like_brentq(g, window):
+    """Solve one window with the Newton polish and with the Brent oracle, on
+    the same score, and check that they agree."""
+    score_fn = _window_score(g, window)
+    fit = _solve_window(score_fn, g.m, window)
+    ref = solve_window_brentq(score_fn, g.m, window)
+    assert fit.status == ref.status
+    assert (fit.bracket, fit.bracket_scores) == (ref.bracket, ref.bracket_scores)
+    if ref.delta_hat is None:
+        assert fit.delta_hat is None and fit.score_at_estimate is None
+    else:
+        assert fit.delta_hat == pytest.approx(ref.delta_hat, rel=1e-9)
+        lo, hi = fit.bracket
+        assert lo <= fit.delta_hat <= hi
+        assert fit.score_at_estimate == score_fn(fit.delta_hat)
+    if fit.converged:
+        assert abs(fit.score_at_estimate) <= SCORE_TOL
+    return fit
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_window_root_matches_brentq(data):
+    n = data.draw(st.integers(2, 400), label="n")
+    m = data.draw(st.integers(1, 3), label="m")
+    delta0 = data.draw(st.floats(-0.95 * m, 8.0), label="delta0")
+    delta1 = data.draw(st.floats(-0.95 * m, 8.0), label="delta1")
+    tau = data.draw(st.integers(0, n), label="tau")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    lo = data.draw(st.integers(1, n), label="lo")
+    hi = data.draw(st.integers(lo, n), label="hi")
+    g = simulate(n, m, DeltaProfile.step(delta0, delta1, tau), seed)
+    _solve_like_brentq(g, (lo, hi))
+
+
+def _star_with_one_leaf(n, m):
+    # every edge goes to vertex 0, except that arrival 3 sends its first edge
+    # to vertex 2: the score's root sits about 1/n above -m
+    targets = np.zeros((n - 1) * m, dtype=np.int64)
+    targets[m] = 2
+    return AttachmentLog(n, m, targets)
+
+
+def test_window_root_edge_cases():
+    # score(0) == 0 exactly: the empty window (1, 1) is solved at 0 with no step
+    g = simulate(10, 2, DeltaProfile.constant(0.5), 1)
+    fit = _solve_like_brentq(g, (1, 1))
+    assert (fit.status, fit.delta_hat, fit.iterations) == ("converged", 0.0, 0)
+
+    # no sign change on the guard side: score < 0 all the way down to -m + guard
+    fit = _solve_like_brentq(from_rows(3, 1, {2: [0], 3: [0]}), (3, 3))
+    assert fit.status == "no_interior_root"
+    assert fit.bracket[0] == -1 + GUARD_FACTOR
+
+    # no sign change on the DELTA_MAX side: a path, each arrival attaching
+    # to the newest vertex, looks like uniform attachment
+    path = AttachmentLog(50, 1, np.arange(1, 50, dtype=np.int64))
+    fit = _solve_like_brentq(path, (1, 50))
+    assert fit.status == "no_interior_root"
+    assert fit.bracket[1] == 1e6
+
+    # a root within 1e-6 m of the guard.  There the score moves by about
+    # 1e-4 per ulp of delta, so neither solver can meet SCORE_TOL: both
+    # report max_iterations at the same bracketed root.
+    m = 3
+    fit = _solve_like_brentq(_star_with_one_leaf(400_000, m), (1, 400_000))
+    assert 0 < fit.delta_hat + m < 1e-6 * m
+    assert fit.iterations > 0
+
+    # a root near 1e3, where the score is nearly flat
+    g = simulate(3000, 1, DeltaProfile.constant(1000.0), 2)
+    fit = _solve_like_brentq(g, (1, 3000))
+    assert fit.converged and 500 < fit.delta_hat < 2000
 
 
 def test_mle_no_interior_root():
