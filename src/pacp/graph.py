@@ -383,14 +383,11 @@ def degree_tail_counts(
     tail = _tail_from_degrees(deg, g.m)
     h_le = h_gt = None
     if split_at is not None:
-        h_le = np.zeros(t + 1, dtype=np.int64)
-        h_gt = np.zeros(t + 1, dtype=np.int64)
-        if t > 1:
-            tgt = g.targets[: (t - 1) * g.m]
-            parents = np.repeat(np.arange(2, t + 1, dtype=np.int64), g.m)
-            early = parents <= split_at
-            h_le += np.bincount(tgt[early], minlength=t + 1)[: t + 1]
-            h_gt += np.bincount(tgt[~early], minlength=t + 1)[: t + 1]
+        # Arrivals are stored in order, so the edges of parents 2..split_at
+        # are a prefix of the log.
+        cut = (split_at - 1) * g.m
+        h_le = np.bincount(g.targets[:cut], minlength=t + 1)
+        h_gt = np.bincount(g.targets[cut : (t - 1) * g.m], minlength=t + 1)
     return DegreeTailCounts(
         n=g.n, m=g.m, upto=t, split_at=split_at, degrees=deg, tail=tail, h_le=h_le, h_gt=h_gt
     )
@@ -416,21 +413,33 @@ def substep_degrees(g: AttachmentLog, t_lo: int = 2) -> np.ndarray:
     of the chosen target just before the edge was added.  That is the target's
     degree in the prefix graph on ``0..t_lo-1`` (``m`` for a vertex born at or
     after ``t_lo``) plus the number of edges from arrival ``t_lo`` on that hit
-    the same target before it: its rank in a stable sort of those edges by
-    target.
+    the same target before it.  Those edges are ranked by one sort of the
+    integer keys ``target * L + position``, L being the number of edges
+    replayed: an edge's rank is its slot in the sorted keys minus the first
+    slot of its target.
     """
     if not 2 <= t_lo <= g.n + 1:
         raise ValueError(f"t_lo {t_lo} out of range 2..{g.n + 1}")
     n, m = g.n, g.m
     tl = g.targets[(t_lo - 2) * m :]
+    size = len(tl)
     before = np.full(n + 1, m, dtype=np.int64)
     before[:t_lo] = g.degrees(upto=t_lo - 1)
-    order = np.argsort(tl, kind="stable")
-    counts = np.bincount(tl, minlength=n + 1)
-    first = np.cumsum(counts) - counts  # position of each target's first edge in sorted order
-    rank = np.empty_like(tl)
-    rank[order] = np.arange(len(tl), dtype=np.int64) - first[tl[order]]
-    return before[tl] + rank
+    # Targets are below n and positions below L, so every key is below
+    # n*L <= n*n*m: that stays under 2**63 for every log whose targets array
+    # is smaller than 24 GB (n*m < 3e9 edges at m = 1, more at larger m).
+    keys = np.multiply(tl, size)
+    keys += np.arange(size, dtype=np.int64)
+    keys.sort()
+    position = keys % size
+    np.floor_divide(keys, size, out=keys)  # sorted targets
+    counts = np.bincount(keys, minlength=n + 1)
+    before -= np.cumsum(counts) - counts  # minus each target's first slot
+    keys = before[keys]  # plus the slot: the degree each edge saw
+    keys += np.arange(size, dtype=np.int64)
+    out = np.empty_like(keys)
+    out[position] = keys
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +472,9 @@ class BoldSet:
 def bold_vertices(g: AttachmentLog, tau_prime: int) -> BoldSet:
     """Extract the relabelable late-vertex set for cutoff ``tau_prime``.
 
-    One pass over the log: per-vertex in-degrees, per-arrival maximum target,
-    and for every vertex its two largest distinct parents.
+    One pass over the log gives per-vertex in-degrees and every vertex's two
+    largest distinct parents; then the arrivals after ``tau_prime`` are
+    tested one target column at a time.
     """
     n, m = g.n, g.m
     if not 0 <= tau_prime < n:
@@ -493,22 +503,23 @@ def bold_vertices(g: AttachmentLog, tau_prime: int) -> BoldSet:
         same = uw[1:] == uw[:-1]
         p2[uw[1:][same]] = up[:-1][same]
 
-    members = []
-    if tau_prime == 0 and in_deg[1] == 0:
-        # vertex 1's children are the implicit base edges to 0
-        if p1[0] == 1 and p2[0] <= 0:
-            members.append(1)
-    if n >= 2:
-        rows = tgt.reshape(n - 1, m)
-        cand = np.arange(2, n + 1, dtype=np.int64)
-        ok = in_deg[2:] == 0
-        ok &= rows.max(axis=1) <= tau_prime
-        ok &= (p1[rows] == cand[:, None]).all(axis=1)
-        ok &= (p2[rows] <= tau_prime).all(axis=1)
-        lo = max(tau_prime + 1, 2)
-        ok[: lo - 2] = False
-        members.extend(cand[ok].tolist())
-    return BoldSet(tau_prime=tau_prime, members=np.asarray(sorted(members), dtype=np.int64))
+    # Only arrivals after tau_prime can be members; each of their m columns
+    # must point at or before tau_prime, be its target's latest parent and
+    # leave that target no other late parent.
+    lo = max(tau_prime + 1, 2)
+    rows = tgt[(lo - 2) * m :].reshape(-1, m)
+    cand = np.arange(lo, n + 1, dtype=np.int64)
+    ok = in_deg[lo:] == 0
+    for c in range(m):
+        col = rows[:, c]
+        ok &= col <= tau_prime
+        ok &= p1[col] == cand
+        ok &= p2[col] <= tau_prime
+    members = cand[ok]
+    # Vertex 1's children are the implicit base edges to 0.
+    if tau_prime == 0 and in_deg[1] == 0 and p1[0] == 1 and p2[0] <= 0:
+        members = np.concatenate(([1], members))
+    return BoldSet(tau_prime=tau_prime, members=members)
 
 
 def apply_permutation(g: AttachmentLog, perm) -> AttachmentLog:

@@ -324,7 +324,9 @@ def localize_tau(g: AttachmentLog, delta0: float, delta1: float):
         t = np.arange(2, n + 1, dtype=np.float64)
         s0 = (2 * m + delta0) * t[:, None] - 2 * m + np.arange(m, dtype=np.float64)[None, :]
         s1 = (2 * m + delta1) * t[:, None] - 2 * m + np.arange(m, dtype=np.float64)[None, :]
-        s_inc = (np.log(s1) - np.log(s0)).sum(axis=1)
+        np.log(s1, out=s1)
+        s1 -= np.log(s0, out=s0)
+        s_inc = s1.sum(axis=1)
         profile[2:] = base + np.cumsum(deg_inc + s_inc)
     tau_hat = int(np.argmax(profile))
     return tau_hat, profile

@@ -54,9 +54,16 @@ def _log_mult_sum(g: AttachmentLog) -> float:
     """Sum over arrivals of log(mu!) for each target multiplicity mu."""
     if g.m == 1 or g.n == 1:
         return 0.0
-    rows = np.sort(g.targets.reshape(g.n - 1, g.m), axis=1)
-    contrib = np.zeros(g.n - 1)
-    run = np.ones(g.n - 1)
+    rows = g.targets.reshape(g.n - 1, g.m)
+    # Only rows that repeat a target contribute; math.fsum is exactly
+    # rounded, so leaving out the zero rows changes no bit.
+    repeats = np.zeros(g.n - 1, dtype=bool)
+    for a in range(1, g.m):
+        for b in range(a):
+            repeats |= rows[:, a] == rows[:, b]
+    rows = np.sort(rows[repeats], axis=1)
+    contrib = np.zeros(len(rows))
+    run = np.ones(len(rows))
     for c in range(1, g.m):
         same = rows[:, c] == rows[:, c - 1]
         run = np.where(same, run + 1.0, 1.0)
@@ -135,8 +142,13 @@ def _log_s_ratio(tau: int, n: int, d0: float, d1: float, m: int) -> float:
 def arrival_log_weights(g: AttachmentLog, t_lo: int, delta0: float, delta1: float) -> np.ndarray:
     """Per-arrival log weight sum_i log(d+delta1) - log(d+delta0) over the
     degrees d that arrival t's m edges saw; entry j is arrival t_lo + j."""
-    d = substep_degrees(g, t_lo).astype(np.float64)
-    return (np.log(d + delta1) - np.log(d + delta0)).reshape(-1, g.m).sum(axis=1)
+    m = g.m
+    d = substep_degrees(g, t_lo)
+    # Every degree is at least m: price each degree up to the largest once.
+    k = np.arange(m, int(d.max(initial=m)) + 1, dtype=np.float64)
+    price = np.log(k + delta1) - np.log(k + delta0)
+    d -= m
+    return price[d].reshape(-1, m).sum(axis=1)
 
 
 def log_lr(g: AttachmentLog, tau: int, delta0: float, delta1: float, method: str = "tail") -> float:

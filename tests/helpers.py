@@ -2,8 +2,10 @@
 factorial brute force over label permutations, a per-edge degree replay, the
 per-line PALOG formatter and parser, the relabelable set by its definition,
 a pooled chi-square, the hypothesis strategy for attachment logs, the
-float-weight Fenwick sampler that fixes every seeded stream and the Brent
-window root-finder that the Newton polish replaced."""
+float-weight Fenwick sampler that fixes every seeded stream, the Brent
+window root-finder that the Newton polish replaced, and the per-edge
+arrival log weights and sort-every-row multiplicity sum that the per-degree
+tables replaced."""
 
 import itertools
 import math
@@ -15,6 +17,7 @@ from scipy.stats import chi2
 
 from pacp import AttachmentLog, apply_permutation, bold_vertices
 from pacp.errors import MissingRow, PalogError, WrongOutDegree
+from pacp.graph import substep_degrees
 from pacp.inference import DELTA_MAX, GUARD_FACTOR, SCORE_TOL, WindowFit
 from pacp.likelihood import log_lr
 
@@ -172,10 +175,10 @@ def chi2_gof_pvalue(counts, probs, min_expected=5.0):
 
 
 @st.composite
-def attachment_logs(draw):
-    """Any log the attachment support allows, n <= 60 and m <= 3."""
+def attachment_logs(draw, m_max=3):
+    """Any log the attachment support allows, n <= 60 and m <= m_max."""
     n = draw(st.integers(1, 60))
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, m_max))
     targets = [draw(st.integers(0, t - 1)) for t in range(2, n + 1) for _ in range(m)]
     return AttachmentLog(n, m, np.asarray(targets, dtype=np.int64))
 
@@ -297,3 +300,25 @@ def solve_window_brentq(score_fn, m, window):
     s_root = score_fn(root)
     status = "converged" if abs(s_root) <= SCORE_TOL else "max_iterations"
     return WindowFit(window, status, root, s_root, (lo, hi), (s_lo, s_hi), res.iterations)
+
+
+def arrival_log_weights_per_edge(g, t_lo, delta0, delta1):
+    """Per-arrival log weights with two logs per edge: the form before the
+    per-degree price table, kept as its oracle."""
+    d = substep_degrees(g, t_lo).astype(np.float64)
+    return (np.log(d + delta1) - np.log(d + delta0)).reshape(-1, g.m).sum(axis=1)
+
+
+def log_mult_sum_sort_rows(g):
+    """Sum over arrivals of log(mu!) with every row sorted: the form before
+    the repeated-row filter, kept as its oracle."""
+    if g.m == 1 or g.n == 1:
+        return 0.0
+    rows = np.sort(g.targets.reshape(g.n - 1, g.m), axis=1)
+    contrib = np.zeros(g.n - 1)
+    run = np.ones(g.n - 1)
+    for c in range(1, g.m):
+        same = rows[:, c] == rows[:, c - 1]
+        run = np.where(same, run + 1.0, 1.0)
+        contrib += np.where(same, np.log(run), 0.0)
+    return math.fsum(contrib.tolist())

@@ -2,14 +2,28 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pacp import DeltaProfile, apply_permutation, bold_vertices, from_rows, simulate
+from pacp import AttachmentLog, DeltaProfile, apply_permutation, bold_vertices, from_rows, simulate
 from pacp.errors import DomainError
-from pacp.likelihood import LogLik, log_likelihood, log_lr, s_product_ratio, s_value
+from pacp.likelihood import (
+    LogLik,
+    _log_mult_sum,
+    arrival_log_weights,
+    log_likelihood,
+    log_lr,
+    s_product_ratio,
+    s_value,
+)
 
-from helpers import attachment_logs, count_support, support_graphs
+from helpers import (
+    arrival_log_weights_per_edge,
+    attachment_logs,
+    count_support,
+    log_mult_sum_sort_rows,
+    support_graphs,
+)
 
 
 def test_s_value_examples():
@@ -139,6 +153,23 @@ def test_two_forms_agree_on_any_log(g, data):
     tail = log_lr(g, tau, d0, d1, method="tail")
     seq = log_lr(g, tau, d0, d1, method="sequential")
     assert abs(tail - seq) <= 1e-10
+
+
+@given(attachment_logs(m_max=5), st.data())
+def test_arrival_log_weights_match_per_edge_oracle(g, data):
+    # one log per distinct degree, gathered: the same floats as two per edge
+    t_lo = data.draw(st.integers(2, g.n + 1), label="t_lo")
+    d0 = data.draw(st.floats(-0.99 * g.m, 5.0), label="delta0")
+    d1 = data.draw(st.floats(-0.99 * g.m, 5.0), label="delta1")
+    got = arrival_log_weights(g, t_lo, d0, d1)
+    assert got.tolist() == arrival_log_weights_per_edge(g, t_lo, d0, d1).tolist()
+
+
+# Rows with two separate repeat groups, such as (1, 0, 1, 0, 0), need m >= 4.
+@example(AttachmentLog(4, 5, [1, 0, 1, 0, 0, 2, 0, 2, 1, 0, 3, 1, 3, 1, 3]))
+@given(attachment_logs(m_max=5))
+def test_log_mult_sum_matches_sort_every_row_oracle(g):
+    assert _log_mult_sum(g) == log_mult_sum_sort_rows(g)
 
 
 @given(attachment_logs(), st.data())
