@@ -16,7 +16,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import MissingRow, PalogError, SupportViolation, TargetTooLarge, WrongOutDegree
+from .errors import (
+    DomainError, MissingRow, PalogError, SupportViolation, TargetTooLarge, WrongOutDegree,
+)
 
 __all__ = [
     "AttachmentLog",
@@ -43,9 +45,15 @@ class AttachmentLog:
     ``targets`` is a flat int64 array of length ``(n-1)*m``; the slice
     ``targets[(t-2)*m:(t-1)*m]`` holds the targets of arrival ``t`` in
     attachment order.
+
+    The final degree vector is cached in the ``_final`` slot: one bincount
+    of the whole log fills it, read-only, the first time a degree statistic
+    needs it, so every later statistic of a late window reads only the
+    edges after its split.  The cache is never pickled and takes no part in
+    ``==`` or ``hash``.
     """
 
-    __slots__ = ("n", "m", "_targets")
+    __slots__ = ("n", "m", "_targets", "_final")
 
     def __init__(self, n: int, m: int, targets, *, validate: bool = True):
         if n < 1:
@@ -68,6 +76,7 @@ class AttachmentLog:
         self.n = int(n)
         self.m = int(m)
         self._targets = arr
+        self._final = None
 
     @property
     def targets(self) -> np.ndarray:
@@ -86,19 +95,36 @@ class AttachmentLog:
     def rows(self) -> dict[int, list[int]]:
         return {t: self.row(t).tolist() for t in range(2, self.n + 1)}
 
+    def _final_degrees(self) -> np.ndarray:
+        """The cached, read-only degree vector of the whole graph."""
+        deg = self._final
+        if deg is None:
+            deg = np.bincount(self._targets, minlength=self.n + 1)
+            deg += self.m
+            deg.setflags(write=False)
+            self._final = deg
+        return deg
+
     def degrees(self, upto: int | None = None) -> np.ndarray:
-        """Total degrees of the prefix graph on vertices ``0..upto``.
+        """Total degrees of the prefix graph on ``0..upto``, as a new array.
 
         Every vertex contributes its m outgoing edges (for vertex 0 the m
         implicit base edges count as in-edges), so ``d(v) = m + #hits(v)``.
+        Whichever side of the split has fewer edges is read: the hits of the
+        prefix, or the final degrees minus the hits after ``upto``.
         """
         t = self.n if upto is None else upto
         if not 1 <= t <= self.n:
             raise ValueError(f"prefix time {t} out of range 1..{self.n}")
-        deg = np.full(t + 1, self.m, dtype=np.int64)
-        if t > 1:
-            hits = np.bincount(self._targets[: (t - 1) * self.m], minlength=t + 1)
-            deg += hits[: t + 1]
+        cut = (t - 1) * self.m
+        late = self._targets[cut:]
+        if cut <= len(late):
+            deg = np.full(t + 1, self.m, dtype=np.int64)
+            deg += np.bincount(self._targets[:cut], minlength=t + 1)
+            return deg
+        deg = self._final_degrees()[: t + 1].copy()
+        if len(late):
+            deg -= np.bincount(late[late <= t], minlength=t + 1)
         return deg
 
     def prefix(self, t: int) -> "AttachmentLog":
@@ -117,6 +143,9 @@ class AttachmentLog:
 
     def __hash__(self):
         return hash((self.n, self.m, self._targets.tobytes()))
+
+    def __reduce__(self):
+        return (AttachmentLog, (self.n, self.m, self._targets))
 
     def __repr__(self) -> str:
         return f"AttachmentLog(n={self.n}, m={self.m})"
@@ -336,21 +365,14 @@ class DegreeTailCounts:
     """Counts of vertices with degree strictly greater than k, k >= m.
 
     ``tail[j]`` is the count for ``k = m + j``; entries past the maximum
-    realized degree are zero and not stored.  When ``split_at`` is given,
-    ``h_le[v]``/``h_gt[v]`` split the randomly attached in-edges of v by
-    parent arrival time, so ``h_le + h_gt = degrees - m`` for every vertex
-    (the deterministic base pair counts as vertex 0's minimum-m endowment,
-    exactly like out-edges do elsewhere).
+    realized degree are zero and not stored.
     """
 
     n: int
     m: int
     upto: int
-    split_at: int | None
     degrees: np.ndarray
     tail: np.ndarray
-    h_le: np.ndarray | None = None
-    h_gt: np.ndarray | None = None
 
     def n_gt(self, k: int) -> int:
         if k < self.m:
@@ -370,61 +392,80 @@ def _tail_from_degrees(degrees: np.ndarray, m: int) -> np.ndarray:
     return above[1:].astype(np.int64)  # drop k = m-? ; above[j+1] = #{d-m > j}
 
 
-def degree_tail_counts(
-    g: AttachmentLog, upto: int | None = None, split_at: int | None = None
-) -> DegreeTailCounts:
-    """Tail counts of the prefix graph on ``0..upto``, with optional in-degree split."""
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First slot and length of each run of equal values in a sorted array."""
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    return start, np.diff(start, append=len(values))
+
+
+def degree_tail_counts(g: AttachmentLog, upto: int | None = None) -> DegreeTailCounts:
+    """Tail counts of the prefix graph on ``0..upto``."""
     t = g.n if upto is None else upto
     if not 1 <= t <= g.n:
         raise ValueError(f"prefix time {t} out of range 1..{g.n}")
-    if split_at is not None and not 1 <= split_at <= t:
-        raise ValueError(f"split time {split_at} out of range 1..{t}")
     deg = g.degrees(upto=t)
-    tail = _tail_from_degrees(deg, g.m)
-    h_le = h_gt = None
-    if split_at is not None:
-        # Arrivals are stored in order, so the edges of parents 2..split_at
-        # are a prefix of the log.
-        cut = (split_at - 1) * g.m
-        h_le = np.bincount(g.targets[:cut], minlength=t + 1)
-        h_gt = np.bincount(g.targets[cut : (t - 1) * g.m], minlength=t + 1)
-    return DegreeTailCounts(
-        n=g.n, m=g.m, upto=t, split_at=split_at, degrees=deg, tail=tail, h_le=h_le, h_gt=h_gt
-    )
+    return DegreeTailCounts(n=g.n, m=g.m, upto=t, degrees=deg, tail=_tail_from_degrees(deg, g.m))
 
 
 def window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
     """Tail-count increments N_{>k}(g_hi) - N_{>k}(g_{lo-1}), k = m, m+1, ...
 
     The degree side of the likelihood block of arrivals ``lo..hi``; for
-    ``lo = 1`` nothing is subtracted.
+    ``lo = 1`` nothing is subtracted, and an empty window (``lo = hi + 1``)
+    gives zeros.  The array is as long as the tail of ``g_hi``, up to its
+    largest degree.
+
+    Only the vertices the window's edges hit can change their tail counts:
+    such a vertex moves from its degree d_pre before the window (m if it is
+    born inside it) to d_post after it, which adds one to every k in
+    [d_pre, d_post).  d_post is read from the degrees at ``hi`` (the cached
+    final degrees when ``hi = n``) and d_pre is d_post minus the vertex's
+    hits in the window.  When the window has fewer edges than the prefix
+    before it, those hits come from one sort of the window's targets, so a
+    late window costs O(L log L) in its L edges; otherwise every vertex
+    takes part, with d_pre read from the degrees at ``lo - 1``.
     """
-    out = degree_tail_counts(g, upto=hi).tail
-    if lo > 1:
-        pre = degree_tail_counts(g, upto=lo - 1).tail
-        out[: len(pre)] -= pre
-    return out
+    n, m = g.n, g.m
+    if not (1 <= lo <= hi + 1 and hi <= n):
+        raise DomainError(f"window ({lo}, {hi}) out of range 1..{n}")
+    t = max(hi, 1)
+    deg = g._final_degrees() if t == n else g.degrees(upto=t)
+    start = (max(lo, 2) - 2) * m
+    hits = g.targets[start : (t - 1) * m]
+    if len(hits) < start:
+        hits = np.sort(hits)
+        run, count = _runs(hits)
+        post = deg[hits[run]]
+        pre = post - count
+    else:
+        post = deg
+        pre = np.full(len(deg), m, dtype=np.int64)
+        before = g.degrees(upto=max(lo - 1, 1))
+        pre[: len(before)] = before
+    size = int(deg.max()) - m + 1
+    moves = np.bincount(pre - m, minlength=size)
+    moves -= np.bincount(post - m, minlength=size)
+    return np.cumsum(moves[:-1])
 
 
 def substep_degrees(g: AttachmentLog, t_lo: int = 2) -> np.ndarray:
     """Degrees seen by each attachment from arrival ``t_lo`` on.
 
     Returns, for every sub-step (t, i) with t in [t_lo, n] in order, the degree
-    of the chosen target just before the edge was added.  That is the target's
-    degree in the prefix graph on ``0..t_lo-1`` (``m`` for a vertex born at or
-    after ``t_lo``) plus the number of edges from arrival ``t_lo`` on that hit
-    the same target before it.  Those edges are ranked by one sort of the
-    integer keys ``target * L + position``, L being the number of edges
-    replayed: an edge's rank is its slot in the sorted keys minus the first
-    slot of its target.
+    of the chosen target just before the edge was added.  Only the L edges
+    from arrival ``t_lo`` on are read: they are ranked by one sort of the
+    integer keys ``target * L + position``, so the edges that hit one target
+    form a run of slots in attachment order.  A target hit h times in that
+    run had its final degree minus h before the run's first edge (``m`` for
+    a vertex born at or after ``t_lo``), and each later edge of the run saw
+    one more.
     """
     if not 2 <= t_lo <= g.n + 1:
         raise ValueError(f"t_lo {t_lo} out of range 2..{g.n + 1}")
-    n, m = g.n, g.m
-    tl = g.targets[(t_lo - 2) * m :]
+    tl = g.targets[(t_lo - 2) * g.m :]
     size = len(tl)
-    before = np.full(n + 1, m, dtype=np.int64)
-    before[:t_lo] = g.degrees(upto=t_lo - 1)
     # Targets are below n and positions below L, so every key is below
     # n*L <= n*n*m: that stays under 2**63 for every log whose targets array
     # is smaller than 24 GB (n*m < 3e9 edges at m = 1, more at larger m).
@@ -433,12 +474,16 @@ def substep_degrees(g: AttachmentLog, t_lo: int = 2) -> np.ndarray:
     keys.sort()
     position = keys % size
     np.floor_divide(keys, size, out=keys)  # sorted targets
-    counts = np.bincount(keys, minlength=n + 1)
-    before -= np.cumsum(counts) - counts  # minus each target's first slot
-    keys = before[keys]  # plus the slot: the degree each edge saw
-    keys += np.arange(size, dtype=np.int64)
-    out = np.empty_like(keys)
-    out[position] = keys
+    run, hits = _runs(keys)
+    # degree before the run's first edge, minus that edge's slot
+    base = g._final_degrees()[keys[run]]
+    base -= hits
+    base -= run
+    del keys, run  # at most three L-length arrays are alive from here on
+    seen = np.repeat(base, hits)
+    seen += np.arange(size, dtype=np.int64)  # plus the slot: the degree each edge saw
+    out = np.empty_like(seen)
+    out[position] = seen
     return out
 
 
@@ -472,54 +517,37 @@ class BoldSet:
 def bold_vertices(g: AttachmentLog, tau_prime: int) -> BoldSet:
     """Extract the relabelable late-vertex set for cutoff ``tau_prime``.
 
-    One pass over the log gives per-vertex in-degrees and every vertex's two
-    largest distinct parents; then the arrivals after ``tau_prime`` are
-    tested one target column at a time.
+    Only the arrivals after ``tau_prime`` are read (for ``tau_prime = 0``
+    that includes vertex 1, whose row is its m base edges to 0).  Every edge
+    into a vertex v > tau_prime comes from one of them, and so does every
+    edge that makes a vertex a late parent.  So v is a member exactly when
+    no late edge hits v and each target of v is at most ``tau_prime`` and
+    has no late parent but v.  One sort of the late edges' keys
+    ``target * (n+2) + parent`` gives the distinct (target, late parent)
+    pairs grouped by target; a parent loses when one of its pairs has a
+    target after ``tau_prime`` or shares its target with another parent.
     """
     n, m = g.n, g.m
     if not 0 <= tau_prime < n:
         raise ValueError(f"tau_prime {tau_prime} out of range 0..{n - 1}")
-    tgt = g.targets
-    in_deg = np.bincount(tgt, minlength=n + 1)
-    in_deg[0] += m  # base edges 1 -> 0
-
-    # Two largest distinct parents per vertex (parent of w = arrival that hit w).
-    # Each edge's key is child * (n+2) + parent, the base edge 1 -> 0 first.
-    # Built in place, then a sort and a neighbour mask give the keys sorted by
-    # (child, parent) with multi-edges collapsed; np.unique's hash path is
-    # ~30x slower on these keys.
-    keys = np.empty(len(tgt) + 1, dtype=np.int64)
-    keys[0] = 1
-    np.multiply(tgt, n + 2, out=keys[1:])
-    by_arrival = keys[1:].reshape(n - 1, m)
-    by_arrival += np.arange(2, n + 1, dtype=np.int64)[:, None]
+    late = g.targets[max(tau_prime - 1, 0) * m :]
+    if tau_prime == 0:
+        late = np.concatenate((np.zeros(m, dtype=np.int64), late))
+    cand = np.arange(tau_prime + 1, n + 1, dtype=np.int64)
+    keys = np.multiply(late, n + 2)
+    keys.reshape(-1, m)[...] += cand[:, None]
     keys.sort()
-    uw, up = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n + 2)
-    del keys, by_arrival  # 11.3 instead of 13.7 MB peak at n=1e5, m=3
-    p1 = np.full(n + 1, -1, dtype=np.int64)  # largest parent
-    p2 = np.full(n + 1, -1, dtype=np.int64)  # second largest distinct parent
-    p1[uw] = up  # last write per child wins = largest parent
-    if len(uw) > 1:
-        same = uw[1:] == uw[:-1]
-        p2[uw[1:][same]] = up[:-1][same]
-
-    # Only arrivals after tau_prime can be members; each of their m columns
-    # must point at or before tau_prime, be its target's latest parent and
-    # leave that target no other late parent.
-    lo = max(tau_prime + 1, 2)
-    rows = tgt[(lo - 2) * m :].reshape(-1, m)
-    cand = np.arange(lo, n + 1, dtype=np.int64)
-    ok = in_deg[lo:] == 0
-    for c in range(m):
-        col = rows[:, c]
-        ok &= col <= tau_prime
-        ok &= p1[col] == cand
-        ok &= p2[col] <= tau_prime
-    members = cand[ok]
-    # Vertex 1's children are the implicit base edges to 0.
-    if tau_prime == 0 and in_deg[1] == 0 and p1[0] == 1 and p2[0] <= 0:
-        members = np.concatenate(([1], members))
-    return BoldSet(tau_prime=tau_prime, members=members)
+    target, parent = np.divmod(keys[_runs(keys)[0]], n + 2)
+    del keys
+    shared = np.zeros(len(target), dtype=bool)
+    same = target[1:] == target[:-1]
+    shared[1:] |= same
+    shared[:-1] |= same
+    hit_late = target > tau_prime
+    ok = np.ones(len(cand), dtype=bool)
+    ok[parent[hit_late | shared] - (tau_prime + 1)] = False
+    ok[target[hit_late] - (tau_prime + 1)] = False  # late in-edges
+    return BoldSet(tau_prime=tau_prime, members=cand[ok])
 
 
 def apply_permutation(g: AttachmentLog, perm) -> AttachmentLog:

@@ -3,9 +3,10 @@ factorial brute force over label permutations, a per-edge degree replay, the
 per-line PALOG formatter and parser, the relabelable set by its definition,
 a pooled chi-square, the hypothesis strategy for attachment logs, the
 float-weight Fenwick sampler that fixes every seeded stream, the Brent
-window root-finder that the Newton polish replaced, and the per-edge
+window root-finder that the Newton polish replaced, the per-edge
 arrival log weights and sort-every-row multiplicity sum that the per-degree
-tables replaced."""
+tables replaced, the whole-log degree layers that the cached final degrees
+replaced, and the in-degrees split at an arrival."""
 
 import itertools
 import math
@@ -15,9 +16,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import chi2
 
-from pacp import AttachmentLog, apply_permutation, bold_vertices
+from pacp import AttachmentLog, BoldSet, apply_permutation, bold_vertices
 from pacp.errors import MissingRow, PalogError, WrongOutDegree
-from pacp.graph import substep_degrees
+from pacp.graph import _tail_from_degrees, substep_degrees
 from pacp.inference import DELTA_MAX, GUARD_FACTOR, SCORE_TOL, WindowFit
 from pacp.likelihood import log_lr
 
@@ -322,3 +323,102 @@ def log_mult_sum_sort_rows(g):
         run = np.where(same, run + 1.0, 1.0)
         contrib += np.where(same, np.log(run), 0.0)
     return math.fsum(contrib.tolist())
+
+
+# The degree layers before the cached final degrees: each reads the whole
+# log, or the whole prefix, and is kept as the oracle of its replacement.
+
+def degrees_by_prefix_bincount(g, upto=None):
+    """Degrees of the prefix graph on 0..upto from one bincount of the
+    prefix's targets."""
+    t = g.n if upto is None else upto
+    if not 1 <= t <= g.n:
+        raise ValueError(f"prefix time {t} out of range 1..{g.n}")
+    deg = np.full(t + 1, g.m, dtype=np.int64)
+    if t > 1:
+        hits = np.bincount(g.targets[: (t - 1) * g.m], minlength=t + 1)
+        deg += hits[: t + 1]
+    return deg
+
+
+def window_tail_diff_two_prefixes(g, lo, hi):
+    """Tail-count increments of arrivals lo..hi as the tail counts of the
+    prefix at hi minus those of the prefix at lo - 1."""
+    out = _tail_from_degrees(degrees_by_prefix_bincount(g, hi), g.m)
+    if lo > 1:
+        pre = _tail_from_degrees(degrees_by_prefix_bincount(g, lo - 1), g.m)
+        out[: len(pre)] -= pre
+    return out
+
+
+def substep_degrees_from_prefix(g, t_lo=2):
+    """Degrees seen by each attachment from arrival t_lo on, starting from
+    an (n+1)-length vector of the prefix degrees at t_lo - 1."""
+    if not 2 <= t_lo <= g.n + 1:
+        raise ValueError(f"t_lo {t_lo} out of range 2..{g.n + 1}")
+    n, m = g.n, g.m
+    tl = g.targets[(t_lo - 2) * m :]
+    size = len(tl)
+    before = np.full(n + 1, m, dtype=np.int64)
+    before[:t_lo] = degrees_by_prefix_bincount(g, t_lo - 1)
+    keys = np.multiply(tl, size)
+    keys += np.arange(size, dtype=np.int64)
+    keys.sort()
+    position = keys % size
+    np.floor_divide(keys, size, out=keys)  # sorted targets
+    counts = np.bincount(keys, minlength=n + 1)
+    before -= np.cumsum(counts) - counts  # minus each target's first slot
+    keys = before[keys]  # plus the slot: the degree each edge saw
+    keys += np.arange(size, dtype=np.int64)
+    out = np.empty_like(keys)
+    out[position] = keys
+    return out
+
+
+def bold_vertices_whole_log(g, tau_prime):
+    """The relabelable set from every vertex's in-degree and two largest
+    distinct parents over the whole log."""
+    n, m = g.n, g.m
+    if not 0 <= tau_prime < n:
+        raise ValueError(f"tau_prime {tau_prime} out of range 0..{n - 1}")
+    tgt = g.targets
+    in_deg = np.bincount(tgt, minlength=n + 1)
+    in_deg[0] += m  # base edges 1 -> 0
+    keys = np.empty(len(tgt) + 1, dtype=np.int64)
+    keys[0] = 1
+    np.multiply(tgt, n + 2, out=keys[1:])
+    by_arrival = keys[1:].reshape(n - 1, m)
+    by_arrival += np.arange(2, n + 1, dtype=np.int64)[:, None]
+    keys.sort()
+    uw, up = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], n + 2)
+    p1 = np.full(n + 1, -1, dtype=np.int64)  # largest parent
+    p2 = np.full(n + 1, -1, dtype=np.int64)  # second largest distinct parent
+    p1[uw] = up  # last write per child wins = largest parent
+    if len(uw) > 1:
+        same = uw[1:] == uw[:-1]
+        p2[uw[1:][same]] = up[:-1][same]
+    lo = max(tau_prime + 1, 2)
+    rows = tgt[(lo - 2) * m :].reshape(-1, m)
+    cand = np.arange(lo, n + 1, dtype=np.int64)
+    ok = in_deg[lo:] == 0
+    for c in range(m):
+        col = rows[:, c]
+        ok &= col <= tau_prime
+        ok &= p1[col] == cand
+        ok &= p2[col] <= tau_prime
+    members = cand[ok]
+    # Vertex 1's children are the implicit base edges to 0.
+    if tau_prime == 0 and in_deg[1] == 0 and p1[0] == 1 and p2[0] <= 0:
+        members = np.concatenate(([1], members))
+    return BoldSet(tau_prime=tau_prime, members=members)
+
+
+def split_in_degrees(g, split_at):
+    """Random in-edges of every vertex split by parent arrival time: hits
+    from arrivals 2..split_at and hits from later arrivals, each from a
+    plain bincount over all n + 1 vertices."""
+    cut = (split_at - 1) * g.m
+    return (
+        np.bincount(g.targets[:cut], minlength=g.n + 1),
+        np.bincount(g.targets[cut:], minlength=g.n + 1),
+    )

@@ -1,3 +1,7 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -15,21 +19,26 @@ from pacp import (
     DeltaProfile,
 )
 from pacp.errors import (
+    DomainError,
     MissingRow,
     PalogError,
     SupportViolation,
     TargetTooLarge,
     WrongOutDegree,
 )
-from pacp.graph import substep_degrees
+from pacp.graph import substep_degrees, window_tail_diff
 from pacp.reduction import kernel_sample
 
 from helpers import (
     attachment_logs,
     bold_vertices_by_definition,
+    bold_vertices_whole_log,
+    degrees_by_prefix_bincount,
     format_palog_by_line,
     parse_palog_by_line,
     replay_substep_degrees,
+    substep_degrees_from_prefix,
+    window_tail_diff_two_prefixes,
 )
 
 
@@ -82,13 +91,62 @@ def test_excess_degree_identity_random():
         assert degree_tail_counts(g).total_excess == m * (n - 1)
 
 
-def test_tail_counts_split_in_degrees():
+def test_degrees_at_split_prefix_and_late_reads():
     g = from_rows(4, 2, {2: [0, 1], 3: [0, 0], 4: [3, 1]})
-    tc = degree_tail_counts(g, split_at=2)
-    # the random in-edges split by era always sum to the excess degree
-    assert (tc.h_le + tc.h_gt).tolist() == (tc.degrees - 2).tolist()
-    assert tc.h_le.tolist() == [1, 1, 0, 0, 0]  # arrival-2 hits only
-    assert tc.h_gt.tolist() == [2, 1, 0, 1, 0]
+    assert g.degrees().tolist() == [5, 4, 2, 3, 2]
+    # the prefix has fewer edges than the rest: its hits are counted
+    assert g.degrees(upto=2).tolist() == [3, 3, 2]
+    # the rest has fewer edges: the final degrees lose arrival 4's hits
+    assert g.degrees(upto=3).tolist() == [5, 3, 2, 2]
+
+
+def test_cached_degrees_cannot_be_written_through():
+    g = from_rows(4, 2, {2: [0, 1], 3: [0, 0], 4: [3, 1]})
+    want = (g.degrees().tolist(), g.degrees(upto=3).tolist(), window_tail_diff(g, 4, 4).tolist())
+    g.degrees()[:] = 99
+    degree_tail_counts(g).degrees[:] = 99
+    assert g.degrees().tolist() == want[0]
+    assert g.degrees(upto=3).tolist() == want[1]
+    assert window_tail_diff(g, 4, 4).tolist() == want[2]
+    assert substep_degrees(g, 4).tolist() == [2, 3]
+    assert degree_tail_counts(g).tail.tolist() == [3, 2, 1]
+
+
+def test_equality_hash_and_pickle_ignore_the_degree_cache():
+    g = from_rows(4, 2, {2: [0, 1], 3: [0, 0], 4: [3, 1]})
+    fresh = AttachmentLog(g.n, g.m, g.targets.copy())
+    g.degrees()  # fills g's cache only
+    assert g._final is not None and fresh._final is None
+    assert g == fresh and hash(g) == hash(fresh)
+    for log in (g, fresh):
+        back = pickle.loads(pickle.dumps(log))
+        assert back == g and hash(back) == hash(g) and back._final is None
+        assert not back.targets.flags.writeable
+        assert back.degrees().tolist() == g.degrees().tolist()
+    assert len(pickle.dumps(g)) == len(pickle.dumps(fresh))
+
+
+def test_degree_cache_lives_on_the_instance():
+    assert "_final" in AttachmentLog.__slots__
+    g = simulate(50, 2, DeltaProfile.constant(0.0), (14, 0))
+    bold_vertices(g, 40)
+    window_tail_diff(g, 41, 50)
+    cached = weakref.ref(g._final)
+    assert not cached().flags.writeable
+    del g
+    gc.collect()
+    assert cached() is None  # nothing outside the log holds its cache
+
+
+def test_window_tail_diff_rejects_windows_that_do_not_exist():
+    g = from_rows(5, 1, {2: [0], 3: [0], 4: [1], 5: [0]})
+    for lo, hi in ((5, 3), (0, 5), (0, 0), (1, 6), (7, 6), (3, 1)):
+        with pytest.raises(DomainError):
+            window_tail_diff(g, lo, hi)
+    # an empty window is a window: no increments, at the tail's length
+    assert window_tail_diff(g, 6, 5).tolist() == [0, 0, 0]
+    assert window_tail_diff(g, 4, 3).tolist() == [0, 0]
+    assert window_tail_diff(g, 1, 5).tolist() == [2, 1, 1]
 
 
 def test_prefix_consistency():
@@ -352,3 +410,51 @@ def test_bold_vertices_matches_definition(g):
 def test_tail_counts_sum_to_excess_degree(g):
     for t in range(1, g.n + 1):
         assert int(degree_tail_counts(g, upto=t).tail.sum()) == g.m * (t - 1)
+
+
+# The degree layers read only the edges after their split; each must give
+# the same integers, in the same dtype and length, as the whole-log form it
+# replaced.  Logs go up to m = 5; the star and the one-vertex log are the
+# extremes of the degree sequence.
+STAR = AttachmentLog(6, 3, np.zeros(15, dtype=np.int64))
+SINGLE = AttachmentLog(1, 2, [])
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@example(STAR)
+@example(SINGLE)
+@given(attachment_logs(m_max=5))
+def test_degrees_match_prefix_bincount_oracle(g):
+    assert_same_array(g.degrees(), degrees_by_prefix_bincount(g))
+    for t in range(1, g.n + 1):
+        assert_same_array(g.degrees(upto=t), degrees_by_prefix_bincount(g, t))
+
+
+@example(STAR)
+@example(SINGLE)
+@given(attachment_logs(m_max=5))
+def test_window_tail_diff_matches_two_prefix_oracle(g):
+    for hi in range(1, g.n + 1):
+        for lo in range(1, hi + 2):
+            assert_same_array(window_tail_diff(g, lo, hi), window_tail_diff_two_prefixes(g, lo, hi))
+
+
+@example(STAR)
+@example(SINGLE)
+@given(attachment_logs(m_max=5))
+def test_substep_degrees_matches_prefix_vector_oracle(g):
+    for t_lo in range(2, g.n + 2):  # includes 2, n and n + 1
+        assert_same_array(substep_degrees(g, t_lo), substep_degrees_from_prefix(g, t_lo))
+
+
+@example(STAR)
+@example(SINGLE)
+@given(attachment_logs(m_max=5))
+def test_bold_vertices_matches_whole_log_oracle(g):
+    for tau_prime in range(g.n):  # includes 0, 1 and n - 1
+        assert_same_array(
+            bold_vertices(g, tau_prime).members, bold_vertices_whole_log(g, tau_prime).members
+        )
