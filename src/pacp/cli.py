@@ -43,6 +43,20 @@ def _replicate_count(text: str) -> int:
     return count
 
 
+def _master_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"the seed must be non-negative, got {seed}")
+    return seed
+
+
+def _level(text: str) -> float:
+    level = float(text)
+    if not 0.0 < level < 1.0:
+        raise argparse.ArgumentTypeError(f"the level must lie in (0, 1), got {level}")
+    return level
+
+
 def _profile_from(args, n: int) -> DeltaProfile:
     if args.delta1 is None and args.tau is None:
         return DeltaProfile.constant(args.delta0)
@@ -198,8 +212,12 @@ def _cmd_test(args):
         if args.mode == "known":
             if args.delta0 is None or args.delta1 is None:
                 raise _UsageError("--mode known needs --delta0 and --delta1")
+            _check_delta("delta0", args.delta0, g.m)
+            _check_delta("delta1", args.delta1, g.m)
+            _check_tau(args.tau, g.n, lo=1)
             verdict = lr_test(g, args.tau, args.delta0, args.delta1)
         else:
+            _check_tau(args.tau, g.n - 1, lo=1)
             verdict = plugin_lr_test(g, args.tau)
         result = {"statistic": verdict.statistic, "reject": verdict.reject, "mode": verdict.mode}
         return result, None, None
@@ -395,7 +413,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--delta1", type=float)
     p.add_argument("--tau", type=int)
-    p.add_argument("--seed", type=int, required=True, help="64-bit unsigned master seed")
+    p.add_argument("--seed", type=_master_seed, required=True, help="64-bit unsigned master seed")
     p.add_argument("--out", required=True, help="PALOG destination path")
     p.set_defaults(func=_cmd_simulate)
 
@@ -419,7 +437,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("mle", help="two-window maximum-likelihood estimates")
     p.add_argument("--graph", required=True)
     p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--level", type=_level, default=0.95)
     add_common_out(p)
     p.set_defaults(func=_cmd_mle)
 
@@ -432,7 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--replicates", type=_replicate_count)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_master_seed)
     p.add_argument("--threads", type=int)
     p.add_argument("--csv", help="per-replicate table destination")
     add_common_out(p)
@@ -446,7 +464,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int)
     p.add_argument("--tau", type=int)
     p.add_argument("--replicates", type=_replicate_count)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_master_seed)
     p.add_argument("--threads", type=int)
     p.add_argument("--csv", help="profile or per-replicate table destination")
     add_common_out(p)
@@ -472,7 +490,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tau-prime", type=int, required=True, dest="tau_prime")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--replicates", type=_replicate_count, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_master_seed, required=True)
     p.add_argument("--c1", type=float, default=1.0)
     p.add_argument("--c2", type=float, default=1.0)
     p.add_argument("--threads", type=int)

@@ -413,9 +413,9 @@ def window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
     """Tail-count increments N_{>k}(g_hi) - N_{>k}(g_{lo-1}), k = m, m+1, ...
 
     The degree side of the likelihood block of arrivals ``lo..hi``; for
-    ``lo = 1`` nothing is subtracted, and an empty window (``lo = hi + 1``)
-    gives zeros.  The array is as long as the tail of ``g_hi``, up to its
-    largest degree.
+    ``lo = 1`` nothing is subtracted (these are the tail counts of ``g_hi``),
+    and an empty window (``lo = hi + 1``) gives zeros.  The array is as long
+    as the tail of ``g_hi``, up to its largest degree.
 
     Only the vertices the window's edges hit can change their tail counts:
     such a vertex moves from its degree d_pre before the window (m if it is
@@ -432,7 +432,9 @@ def window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
         raise DomainError(f"window ({lo}, {hi}) out of range 1..{n}")
     t = max(hi, 1)
     deg = g._final_degrees() if t == n else g.degrees(upto=t)
-    start = (max(lo, 2) - 2) * m
+    if lo == 1:
+        return _tail_from_degrees(deg, m)
+    start = (lo - 2) * m
     hits = g.targets[start : (t - 1) * m]
     if len(hits) < start:
         hits = np.sort(hits)
@@ -442,7 +444,7 @@ def window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
     else:
         post = deg
         pre = np.full(len(deg), m, dtype=np.int64)
-        before = g.degrees(upto=max(lo - 1, 1))
+        before = g.degrees(upto=lo - 1)
         pre[: len(before)] = before
     size = int(deg.max()) - m + 1
     moves = np.bincount(pre - m, minlength=size)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, NoInteriorRoot
 from .graph import AttachmentLog, window_tail_diff
-from .likelihood import arrival_log_weights, log_likelihood, log_lr
+from .likelihood import _s_grid, arrival_log_weights, log_likelihood, log_lr
 from .simulation import DeltaProfile
 from .theory import asymptotic_variance
 
@@ -321,9 +321,7 @@ def localize_tau(g: AttachmentLog, delta0: float, delta1: float):
     profile = np.full(n + 1, base, dtype=np.float64)  # arrival 1 is deterministic
     if n >= 2:
         deg_inc = -arrival_log_weights(g, 2, delta0, delta1)
-        t = np.arange(2, n + 1, dtype=np.float64)
-        s0 = (2 * m + delta0) * t[:, None] - 2 * m + np.arange(m, dtype=np.float64)[None, :]
-        s1 = (2 * m + delta1) * t[:, None] - 2 * m + np.arange(m, dtype=np.float64)[None, :]
+        s0, s1 = _s_grid(2, n, delta0, m), _s_grid(2, n, delta1, m)
         np.log(s1, out=s1)
         s1 -= np.log(s0, out=s0)
         s_inc = s1.sum(axis=1)

@@ -1,10 +1,14 @@
 """Exact log-likelihoods and log likelihood-ratios of attachment logs.
 
-Everything is computed in log space.  The degree side of each formula is a
-function of the tail counts N_{>k} only, so sums run over realized degrees
-(histogram order), never over all nm possible values; the order-sensitive
-scalar accumulations use exactly-rounded summation (math.fsum) so results do
-not depend on vertex labeling.
+Everything is computed in log space.  A likelihood factors into blocks, one
+per run of arrivals under one parameter.  A block's degree side is
+sum_k diff_k log(k+d) over its tail-count increments diff_k (the change of
+N_{>k} across the block, k = m, m+1, ...), so sums run over realized
+degrees in ascending order, never over all nm possible values; its
+normalizer sums log S over the grid S = (2m+d)t - 2m + i of its sub-steps.
+The order-sensitive scalar accumulations use exactly-rounded summation
+(math.fsum) so results do not depend on vertex labeling.  The module is
+numpy-only.
 """
 
 from __future__ import annotations
@@ -39,15 +43,21 @@ def s_value(t: int, i: int, delta: float, m: int) -> float:
     return (2 * m + delta) * t - 2 * m + (i - 1)
 
 
+def _s_grid(t_lo: int, t_hi: int, delta: float, m: int) -> np.ndarray:
+    """Normalizing totals S = (2m+d)t - 2m + i of every sub-step of arrivals
+    t_lo..t_hi (from 2 on), one row of m per arrival; empty if none."""
+    t = np.arange(max(t_lo, 2), t_hi + 1, dtype=np.float64)
+    return ((2 * m + delta) * t - 2 * m)[:, None] + np.arange(m, dtype=np.float64)[None, :]
+
+
+def _log_degree(m: int, size: int, delta: float) -> np.ndarray:
+    """log(k + delta) for the degrees k = m .. m + size - 1."""
+    return np.log(np.arange(m, m + size, dtype=np.float64) + delta)
+
+
 def log_s_sum(t_lo: int, t_hi: int, delta: float, m: int) -> float:
     """Sum of log normalizing totals over arrivals t_lo..t_hi (all sub-steps)."""
-    if t_hi < t_lo:
-        return 0.0
-    t = np.arange(max(t_lo, 2), t_hi + 1, dtype=np.float64)
-    if len(t) == 0:
-        return 0.0
-    base = (2 * m + delta) * t - 2 * m
-    return float(np.log(base[:, None] + np.arange(m, dtype=np.float64)[None, :]).sum())
+    return float(np.log(_s_grid(t_lo, t_hi, delta, m)).sum())
 
 
 def _log_mult_sum(g: AttachmentLog) -> float:
@@ -71,24 +81,6 @@ def _log_mult_sum(g: AttachmentLog) -> float:
     return math.fsum(contrib.tolist())
 
 
-def _degree_hist(degrees: np.ndarray, m: int) -> np.ndarray:
-    return np.bincount(degrees - m)
-
-
-def _hist_dot(hist: np.ndarray, values: np.ndarray) -> float:
-    # fixed ascending-degree order: bit-identical for isomorphic logs
-    return math.fsum((hist * values).tolist())
-
-
-def _numerator_block(hist: np.ndarray, m: int, delta: float) -> float:
-    """Sum over vertices of log[(m+d)(m+1+d)...(deg-1+d)] from a degree histogram."""
-    from scipy.special import gammaln  # scipy loads only when a likelihood is evaluated
-
-    d = np.arange(m, m + len(hist), dtype=np.float64)
-    vals = gammaln(d + delta) - gammaln(m + delta)
-    return _hist_dot(hist, vals)
-
-
 @dataclass(frozen=True)
 class LogLik:
     """Natural-log probability of a labeled log, with its three components."""
@@ -102,35 +94,23 @@ class LogLik:
 def log_likelihood(g: AttachmentLog, profile: DeltaProfile) -> LogLik:
     """Exact log-probability of the labeled graph under the given profile.
 
-    For a constant parameter the degree part is prod_k (k+d0)^{N_>k}; a step
-    profile factorizes into the pre-change block (prefix tail counts at tau)
-    and the post-change block (tail-count increments), each with its own
-    normalizer.
+    A step profile factorizes into the pre-change block (arrivals 1..tau at
+    delta0) and the post-change block (tau+1..n at delta1), each with its
+    own degree side and normalizer; a constant profile is the pre-change
+    block alone (tau = n).
     """
     n, m = g.n, g.m
     profile.validate(n, m)
-    log_comb = (n - 1) * math.lgamma(m + 1) - _log_mult_sum(g)
-    d0 = profile.delta0
-    tau = n if not profile.is_step else profile.tau
     if n == 1:
         return LogLik(0.0, 0.0, 0.0, 0.0)
-    if tau >= n:
-        hist = _degree_hist(g.degrees(), m)
-        num = _numerator_block(hist, m, d0)
-        norm = log_s_sum(2, n, d0, m)
-    else:
-        d1 = profile.delta1
-        if tau >= 1:
-            hist_pre = _degree_hist(g.degrees(upto=tau), m)
-        else:
-            hist_pre = np.zeros(1, dtype=np.int64)
-        hist_fin = _degree_hist(g.degrees(), m)
-        num = (
-            _numerator_block(hist_pre, m, d0)
-            + _numerator_block(hist_fin, m, d1)
-            - _numerator_block(hist_pre, m, d1)
-        )
-        norm = log_s_sum(2, tau, d0, m) + log_s_sum(tau + 1, n, d1, m)
+    log_comb = (n - 1) * math.lgamma(m + 1) - _log_mult_sum(g)
+    tau = profile.tau if profile.is_step else n
+    num = norm = 0.0
+    for lo, hi, delta in ((1, tau, profile.delta0), (tau + 1, n, profile.delta1)):
+        if lo <= hi:
+            diff = window_tail_diff(g, lo, hi)
+            num += math.fsum((diff * _log_degree(m, len(diff), delta)).tolist())
+            norm += log_s_sum(lo, hi, delta, m)
     return LogLik(log_comb + num - norm, log_comb, num, norm)
 
 
@@ -139,15 +119,20 @@ def _log_s_ratio(tau: int, n: int, d0: float, d1: float, m: int) -> float:
     return log_s_sum(tau + 1, n, d0, m) - log_s_sum(tau + 1, n, d1, m)
 
 
+def _degree_price(m: int, size: int, delta0: float, delta1: float) -> np.ndarray:
+    """Log weight log(k+delta1) - log(k+delta0) of one attachment to a vertex
+    of degree k, for k = m .. m + size - 1."""
+    return _log_degree(m, size, delta1) - _log_degree(m, size, delta0)
+
+
 def arrival_log_weights(g: AttachmentLog, t_lo: int, delta0: float, delta1: float) -> np.ndarray:
     """Per-arrival log weight sum_i log(d+delta1) - log(d+delta0) over the
     degrees d that arrival t's m edges saw; entry j is arrival t_lo + j."""
     m = g.m
     d = substep_degrees(g, t_lo)
-    # Every degree is at least m: price each degree up to the largest once.
-    k = np.arange(m, int(d.max(initial=m)) + 1, dtype=np.float64)
-    price = np.log(k + delta1) - np.log(k + delta0)
     d -= m
+    # Every degree is at least m: price each degree up to the largest once.
+    price = _degree_price(m, int(d.max(initial=0)) + 1, delta0, delta1)
     return price[d].reshape(-1, m).sum(axis=1)
 
 
@@ -168,8 +153,7 @@ def log_lr(g: AttachmentLog, tau: int, delta0: float, delta1: float, method: str
     s_part = _log_s_ratio(tau, n, delta0, delta1, m)
     if method == "tail":
         diff = window_tail_diff(g, tau + 1, n)
-        k = np.arange(m, m + len(diff), dtype=np.float64)
-        deg_part = math.fsum((diff * (np.log(k + delta1) - np.log(k + delta0))).tolist())
+        deg_part = math.fsum((diff * _degree_price(m, len(diff), delta0, delta1)).tolist())
     elif method == "sequential":
         deg_part = math.fsum(arrival_log_weights(g, tau + 1, delta0, delta1).tolist())
     else:
@@ -204,6 +188,12 @@ class BoundedValue:
             )
 
 
+def _enveloped(value: float, log_value: float, center: float, slack: float) -> BoundedValue:
+    """``value`` with the two-sided envelope e^{center -+ slack}."""
+    lower, upper = center - slack, center + slack
+    return BoundedValue(value, safe_exp(lower), safe_exp(upper), log_value, lower, upper)
+
+
 def s_product_ratio(tau: int, n: int, delta0: float, delta1: float, m: int) -> BoundedValue:
     """Exact post-change normalizer ratio prod S(d0)/S(d1) with its two-sided
     e^{+-6m(n-tau)/tau} ((2m+d0)/(2m+d1))^{m(n-tau)} envelope (needs tau >= 3)."""
@@ -216,12 +206,4 @@ def s_product_ratio(tau: int, n: int, delta0: float, delta1: float, m: int) -> B
     width = n - tau
     log_value = _log_s_ratio(tau, n, delta0, delta1, m)
     center = m * width * math.log((2 * m + delta0) / (2 * m + delta1))
-    slack = 6.0 * m * width / tau
-    return BoundedValue(
-        value=safe_exp(log_value),
-        lower=safe_exp(center - slack),
-        upper=safe_exp(center + slack),
-        log_value=log_value,
-        log_lower=center - slack,
-        log_upper=center + slack,
-    )
+    return _enveloped(safe_exp(log_value), log_value, center, 6.0 * m * width / tau)

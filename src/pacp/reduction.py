@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionViolated, UnsupportedRegime
 from .graph import AttachmentLog, BoldSet, bold_vertices
-from .likelihood import arrival_log_weights, log_s_sum
+from .likelihood import _log_s_ratio, arrival_log_weights
 from .simulation import DeltaProfile, simulate
 from .theory import mean_weight_mn
 from . import campaign
@@ -158,7 +158,7 @@ def log_permuted_lr(ctx: ReductionContext) -> float:
     n, tau = ctx.n, ctx.tau
     if tau == n:
         return 0.0
-    total = log_s_sum(tau + 1, n, ctx.delta0, ctx.m) - log_s_sum(tau + 1, n, ctx.delta1, ctx.m)
+    total = _log_s_ratio(tau, n, ctx.delta0, ctx.delta1, ctx.m)
     members = ctx.bold.members
     late = np.arange(tau + 1, n + 1, dtype=np.int64)
     fixed = late[~np.isin(late, members)]
@@ -390,8 +390,13 @@ def martingale_tail_probe(
     The estimate is the fraction of grid points whose empirical frequency
     exceeds the bound (0.0 means the bound held everywhere).
     """
+    failures = []
     if tau_prime < 3:
-        raise PreconditionViolated([f"tau_prime >= 3 required, got {tau_prime}"])
+        failures.append(f"tau_prime >= 3 required, got {tau_prime}")
+    if tau_prime >= n:
+        failures.append(f"tau_prime < n required, got tau_prime={tau_prime}, n={n}")
+    if failures:
+        raise PreconditionViolated(failures)
     if c is None:
         c = azuma_rate(m, delta0, delta1)
     width_prime = n - tau_prime

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .likelihood import BoundedValue, log_s_sum
+from .likelihood import BoundedValue, _enveloped, _s_grid
 
 __all__ = [
     "DegreeLaw",
@@ -318,22 +318,12 @@ def mean_weight_mn(tau_prime: int, n: int, delta0: float, delta1: float, m: int)
         raise DomainError(f"need n > tau_prime, got n={n}, tau_prime={tau_prime}")
     if delta0 <= -m or delta1 <= -m:
         raise DomainError(f"deltas must be > -m = {-m}")
-    t = np.arange(tau_prime + 1, n + 1, dtype=np.float64)
-    i = np.arange(m, dtype=np.float64)
-    log_ratio = np.log((2 * m + delta1) * t[:, None] - 2 * m + i[None, :]) - np.log(
-        (2 * m + delta0) * t[:, None] - 2 * m + i[None, :]
+    log_ratio = np.log(_s_grid(tau_prime + 1, n, delta1, m)) - np.log(
+        _s_grid(tau_prime + 1, n, delta0, m)
     )
     value = float(np.exp(log_ratio.sum(axis=1)).mean())
     center = m * math.log((2 * m + delta1) / (2 * m + delta0))
-    slack = 6.0 * m / tau_prime
-    return BoundedValue(
-        value=value,
-        lower=math.exp(center - slack),
-        upper=math.exp(center + slack),
-        log_value=math.log(value),
-        log_lower=center - slack,
-        log_upper=center + slack,
-    )
+    return _enveloped(value, math.log(value), center, 6.0 * m / tau_prime)
 
 
 def log_integral_bound(beta: float) -> float:

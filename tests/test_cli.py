@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pacp import DeltaProfile, load_palog, simulate
+from pacp import DeltaProfile, format_palog, load_palog, simulate
 from pacp.cli import main
 from pacp.likelihood import log_likelihood
 
@@ -176,6 +176,78 @@ def test_exit_codes_table(tmp_path, capsys):
     )
     assert code == 0
     assert payload["result"]["abstain_h0"] >= 0.0
+
+
+_SEEDED = {
+    "simulate": ["simulate", "--n", "5", "--m", "1", "--delta0", "0", "--out", "g.palog"],
+    "test": ["test", "--mode", "known", "--n", "50", "--m", "1", "--tau", "40", "--delta0",
+             "0", "--delta1", "1", "--replicates", "2"],
+    "localize": ["localize", "--n", "50", "--m", "1", "--tau", "40", "--delta0", "0",
+                 "--delta1", "1", "--replicates", "2"],
+    "contiguity": ["contiguity", "--probe", "martingale", "--n", "50", "--m", "1",
+                   "--delta0", "0", "--delta1", "1", "--tau-prime", "25", "--replicates", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED))
+def test_negative_seed_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, payload = run_cli(_SEEDED[command] + ["--seed", "-1"], capsys)
+    assert code == 2 and payload["error"]["type"] == "usage"
+    assert "non-negative" in payload["error"]["message"]
+    assert not (tmp_path / "g.palog").exists()
+    code, payload = run_cli(_SEEDED[command] + ["--seed", "0"], capsys)
+    assert code == 0 and payload["seed"] == 0
+
+
+def test_level_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "g.palog"
+    simulate_argv = ["simulate", "--n", "200", "--m", "1", "--delta0", "0", "--delta1", "2",
+                     "--tau", "150", "--seed", "4", "--out", str(out)]
+    assert run_cli(simulate_argv, capsys)[0] == 0
+    for level in ("1.5", "1", "0", "-0.2", "nan"):
+        code, payload = run_cli(
+            ["mle", "--graph", str(out), "--tau", "150", "--level", level], capsys
+        )
+        assert code == 2 and payload["error"]["type"] == "usage", level
+        assert "(0, 1)" in payload["error"]["message"]
+    code, payload = run_cli(["mle", "--graph", str(out), "--tau", "150", "--level", "0.9"], capsys)
+    assert code == 0 and payload["result"]["level"] == 0.9
+
+
+def test_martingale_probe_tau_prime_past_n_is_a_domain_error(capsys):
+    for tau_prime in ("50", "60"):
+        code, payload = run_cli(
+            ["contiguity", "--probe", "martingale", "--n", "50", "--m", "1", "--delta0", "0",
+             "--delta1", "1", "--tau-prime", tau_prime, "--replicates", "2", "--seed", "1"],
+            capsys,
+        )
+        assert code == 3 and payload["error"]["type"] == "PreconditionViolated"
+        assert "tau_prime < n" in payload["error"]["message"]
+
+
+def test_single_graph_test_checks_its_arguments_like_lr(tmp_path, capsys):
+    p = tmp_path / "g.palog"
+    g = simulate(30, 2, DeltaProfile.constant(0.5), 12)
+    p.write_text(format_palog(g))
+    known = ["test", "--graph", str(p), "--mode", "known"]
+    for extra in (
+        ["--tau", "20", "--delta0", "-5", "--delta1", "1"],
+        ["--tau", "20", "--delta0", "0", "--delta1", "-2"],
+        ["--tau", "0", "--delta0", "0", "--delta1", "1"],
+        ["--tau", "31", "--delta0", "0", "--delta1", "1"],
+    ):
+        code, payload = run_cli(known + extra, capsys)
+        assert code == 2 and payload["error"]["type"] == "usage", extra
+        lr_code, _ = run_cli(["lr", "--graph", str(p)] + extra, capsys)
+        assert lr_code == 2, extra
+    code, payload = run_cli(known + ["--tau", "30", "--delta0", "0", "--delta1", "1"], capsys)
+    assert code == 0 and payload["result"]["statistic"] == 0.0
+    plugin = ["test", "--graph", str(p), "--mode", "plugin"]
+    for tau in ("0", "30", "31"):
+        code, payload = run_cli(plugin + ["--tau", tau], capsys)
+        assert code == 2 and payload["error"]["type"] == "usage", tau
+        assert "1..29" in payload["error"]["message"]
 
 
 def test_campaign_summary_and_csv(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -22,6 +23,7 @@ from helpers import (
     attachment_logs,
     count_support,
     log_mult_sum_sort_rows,
+    log_numerator_gammaln,
     split_in_degrees,
     support_graphs,
 )
@@ -185,6 +187,53 @@ def test_null_likelihood_is_label_invariant(g, data):
         a = log_likelihood(g, DeltaProfile.constant(delta)).value
         b = log_likelihood(relabeled, DeltaProfile.constant(delta)).value
         assert a == b
+
+
+@given(attachment_logs(), st.data())
+def test_numerator_matches_gammaln_histogram_oracle(g, data):
+    m = g.m
+    deltas = st.floats(-m + 0.05, 5.0, allow_nan=False)
+    tau = data.draw(st.integers(0, g.n), label="tau")
+    d0 = data.draw(deltas, label="delta0")
+    d1 = data.draw(deltas, label="delta1")
+    for profile in (DeltaProfile.constant(d0), DeltaProfile.step(d0, d1, tau)):
+        got = log_likelihood(g, profile).log_numerator
+        want = log_numerator_gammaln(g, profile)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _mp_numerator(g, profile):
+    # each vertex's rising factorial, term by term: degrees m..d_tau - 1 at
+    # delta0, then d_tau..d_n - 1 at delta1 (tau = n for a constant profile)
+    tau = profile.tau if profile.is_step else g.n
+    final = g.degrees().tolist()
+    pre = g.degrees(upto=max(tau, 1)).tolist() if tau >= 1 else []
+    pre += [g.m] * (len(final) - len(pre))
+    d0 = mpmath.mpf(profile.delta0)
+    d1 = mpmath.mpf(profile.delta1) if profile.is_step else d0
+    total = mpmath.mpf(0)
+    for a, b in zip(pre, final):
+        total += mpmath.fsum(mpmath.log(k + d0) for k in range(g.m, a))
+        total += mpmath.fsum(mpmath.log(k + d1) for k in range(a, b))
+    return total
+
+
+def test_numerator_against_mpmath():
+    # every k + delta here is exact in binary and at least one, so each term
+    # is non-negative and the float sum can only lose its last bits
+    worst = 0.0
+    with mpmath.workdps(40):
+        for trial, (n, m) in enumerate(((12, 1), (60, 2), (300, 1), (200, 3))):
+            g = simulate(n, m, DeltaProfile.step(0.5, 2.0, n // 2), (31, trial))
+            for profile in (
+                DeltaProfile.constant(1.75),
+                DeltaProfile.step(0.5, 3.0, (2 * n) // 3),
+                DeltaProfile.step(2.25, float(1 - m), 0),
+            ):
+                exact = _mp_numerator(g, profile)
+                got = log_likelihood(g, profile).log_numerator
+                worst = max(worst, float(abs((got - exact) / exact)))
+    assert worst <= 5e-16
 
 
 def test_unit_mean_lr_quick():

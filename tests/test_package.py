@@ -48,8 +48,8 @@ def _cli_in_fresh_interpreter(argv, tmp_path):
 
 
 def test_cli_and_plugin_campaign_load_no_scipy(tmp_path):
-    # scipy.special costs most of a cold start; only log_likelihood and the
-    # limit-law functions of theory may load it, on first call
+    # scipy.special costs most of a cold start; only the limit-law functions
+    # of theory may load it, on first call
     assert _cli_in_fresh_interpreter([], tmp_path) == {"code": 0, "scipy": []}
     campaign = ["test", "--mode", "plugin", "--n", "300", "--m", "1", "--tau", "200",
                 "--delta0", "0", "--delta1", "2", "--replicates", "4", "--seed", "5",
@@ -63,5 +63,9 @@ def test_cli_and_plugin_campaign_load_no_scipy(tmp_path):
     loglik = _cli_in_fresh_interpreter(
         ["loglik", "--graph", "g.palog", "--delta0", "0.5", "--out", "ll.json"], tmp_path
     )
-    assert loglik["code"] == 0 and "scipy.special" in loglik["scipy"]
+    assert loglik == {"code": 0, "scipy": []}
     assert math.isfinite(json.loads((tmp_path / "ll.json").read_text())["result"]["loglik"])
+    localize = ["localize", "--graph", "g.palog", "--delta0", "0.5", "--delta1", "2",
+                "--out", "loc.json"]
+    assert _cli_in_fresh_interpreter(localize, tmp_path) == {"code": 0, "scipy": []}
+    assert 0 <= json.loads((tmp_path / "loc.json").read_text())["result"]["tau_hat"] <= 50

@@ -227,6 +227,22 @@ def test_event_bn_probe_tau_equals_n():
     assert 0 <= mc.estimate <= 1
 
 
+def test_martingale_probe_rejects_tau_prime_at_or_past_n(monkeypatch):
+    # width' = n - tau' must be positive; the check runs before any replicate
+    from pacp import reduction
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran before the preconditions were checked")
+
+    monkeypatch.setattr(reduction.campaign, "run_replicates", no_replicates)
+    for tau_prime in (100, 101, 150):
+        with pytest.raises(PreconditionViolated) as exc:
+            martingale_tail_probe(100, 1, 0.0, 1.0, tau_prime, 4, seed=67)
+        assert exc.value.failures == [
+            f"tau_prime < n required, got tau_prime={tau_prime}, n=100"
+        ]
+
+
 def test_martingale_probe_trivial_and_small_run():
     # identical deltas: every weight is one, Z == m_n == 1, tails all zero
     mc0 = martingale_tail_probe(100, 1, 0.7, 0.7, 50, 30, seed=64)
