@@ -36,22 +36,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _number(convert, text: str, what: str):
+    # argparse would report a ValueError as "invalid _master_seed value".
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{what}, got {text!r}") from None
+
+
 def _replicate_count(text: str) -> int:
-    count = int(text)
+    count = _number(int, text, "the replicate count must be an integer")
     if count < 1:
         raise argparse.ArgumentTypeError(f"need at least one replicate, got {count}")
     return count
 
 
 def _master_seed(text: str) -> int:
-    seed = int(text)
+    seed = _number(int, text, "the seed must be an integer")
     if seed < 0:
         raise argparse.ArgumentTypeError(f"the seed must be non-negative, got {seed}")
     return seed
 
 
 def _level(text: str) -> float:
-    level = float(text)
+    level = _number(float, text, "the level must be a number")
     if not 0.0 < level < 1.0:
         raise argparse.ArgumentTypeError(f"the level must lie in (0, 1), got {level}")
     return level
@@ -285,6 +293,7 @@ def _cmd_localize(args):
             raise _UsageError(f"campaign mode needs --{name}")
     _check_delta("delta0", args.delta0, args.m)
     _check_delta("delta1", args.delta1, args.m)
+    _check_tau(args.tau, args.n)
     threads = campaign.resolve_threads(args.threads)
     rows = campaign.run_replicates(
         _localize_replicate,

@@ -183,27 +183,98 @@ _FORMAT_BLOCK_ROWS = 16_384
 _PARSE_BLOCK_BYTES = 1 << 18
 # Longer tokens are rejected: every value that fits is below 10**18 < 2**63.
 _MAX_TOKEN_CHARS = 18
-_POW10 = 10 ** np.arange(_MAX_TOKEN_CHARS, dtype=np.int64)
 
 _LEADING_BLANKS = re.compile(rb"[ \t\r\n]*")
 _LINE_BREAK = re.compile(rb"[\r\n]")
 _HEADER = re.compile(
     rb"PALOG[ \t]+v1[ \t]+([nm])=([+-]?[0-9]+)[ \t]+([nm])=([+-]?[0-9]+)[ \t]*"
 )
+# load_palog reads every byte above 0x7F as "?", as parse_palog reads every
+# non-ASCII character, so a file that is not text reaches the parser, which
+# rejects the lines holding one.
+_ASCII_OR_QMARK = bytes(range(128)) + b"?" * 128
+
+
+def _digit_words() -> np.ndarray:
+    """Three tables of the 10**4 four-digit groups as four ASCII bytes each,
+    read as uint32: zero-padded; with leading zeros as NUL bytes (0 all NUL);
+    and the same but with 0 as "0"."""
+    words = np.empty((3, 10**4, 4), dtype=np.uint8)
+    padded = words[0].reshape(10, 10, 10, 10, 4)
+    ascii_digits = np.arange(48, 58, dtype=np.uint8)
+    for place in range(4):
+        padded[..., place] = ascii_digits.reshape((10,) + (1,) * (3 - place))
+    words[1] = words[0]
+    for place in range(4):  # a group below 10**(3 - place) has a leading zero there
+        words[1, : 10 ** (3 - place), place] = 0
+    words[2] = words[1]
+    words[2, 0, 3] = 48
+    return words.view(np.uint32).ravel()
+
+
+def _digit_masks() -> np.ndarray:
+    """``[k, d]``: for a token of d digits, the low nibble of each byte of the
+    k-th 8-byte word before its end that holds one of its digits."""
+    kept = [
+        [min(max(d - 8 * k, 0), 8) for d in range(_MAX_TOKEN_CHARS + 1)]
+        for k in range((_MAX_TOKEN_CHARS + 7) // 8)
+    ]
+    return np.array(
+        [[0x0F0F0F0F0F0F0F0F >> 8 * (8 - c) << 8 * (8 - c) for c in row] for row in kept],
+        dtype=np.uint64,
+    )
+
+
+_GROUP = 10**4
+_DIGIT_WORDS = _digit_words()
+_SEPARATOR_WORDS = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=np.uint32)
+_DIGIT_MASKS = _digit_masks()
+_WORD_SCALE = np.array([1, 10**8, 10**16], dtype=np.uint64)
 
 
 def format_palog(g: AttachmentLog) -> str:
+    return b"".join(_palog_blocks(g)).decode("ascii")
+
+
+def _palog_blocks(g: AttachmentLog):
+    """The PALOG v1 text of ``g`` as ASCII bytes: the header, then one piece
+    per block of arrival lines."""
     n, m = g.n, g.m
-    row = " ".join(["%d"] * (m + 1)) + "\n"
+    yield f"{PALOG_MAGIC} n={n} m={m}\n".encode("ascii")
     targets = g.targets.reshape(n - 1, m)
-    parts = [f"{PALOG_MAGIC} n={n} m={m}\n"]
     for lo in range(2, n + 1, _FORMAT_BLOCK_ROWS):
         hi = min(lo + _FORMAT_BLOCK_ROWS, n + 1)
         table = np.empty((hi - lo, m + 1), dtype=np.int64)
         table[:, 0] = np.arange(lo, hi)
         table[:, 1:] = targets[lo - 2 : hi - 2]
-        parts.append((row * (hi - lo)) % tuple(table.ravel().tolist()))
-    return "".join(parts)
+        yield _format_rows(table)
+
+
+def _format_rows(table: np.ndarray) -> bytes:
+    """One line per row of a 2-D array of non-negative int64 values: the
+    values in decimal, separated by single spaces, each line ending in LF.
+
+    Each value is cut into as many base-10**4 groups as the largest value
+    needs, and each group becomes a four-byte word from ``_DIGIT_WORDS``.
+    Groups above a value's leading one are all NUL, its leading group
+    writes its leading zeros as NUL, and deleting every NUL leaves the text.
+    """
+    rows, cols = table.shape
+    top, groups = int(table.max(initial=0)), 1
+    while top >= _GROUP**groups:
+        groups += 1
+    words = np.empty((rows, cols, groups + 1), dtype=np.uint32)
+    words[:, :, groups] = _SEPARATOR_WORDS[0]
+    words[:, -1, groups] = _SEPARATOR_WORDS[1]
+    # A group reads the padded table while a higher group is nonzero, else
+    # the table at offset ``leading``; only the last group writes 0 as "0".
+    rest, leading = table, 2 * _GROUP
+    for j in range(groups - 1, 0, -1):
+        higher = rest // _GROUP
+        words[:, :, j] = _DIGIT_WORDS[rest - higher * _GROUP + leading * (higher == 0)]
+        rest, leading = higher, _GROUP
+    words[:, :, 0] = _DIGIT_WORDS[rest + leading]
+    return words.tobytes().translate(None, b"\0")
 
 
 def parse_palog(text: str) -> AttachmentLog:
@@ -218,7 +289,11 @@ def parse_palog(text: str) -> AttachmentLog:
     (``TargetTooLarge``).
     """
     # Every non-ASCII character becomes "?", which no token may contain.
-    data = text.encode("ascii", errors="replace")
+    return _parse_palog_bytes(text.encode("ascii", errors="replace"))
+
+
+def _parse_palog_bytes(data: bytes) -> AttachmentLog:
+    """``parse_palog`` of ASCII bytes."""
     start = _LEADING_BLANKS.match(data).end()
     if start == len(data):
         raise PalogError("empty PALOG input")
@@ -330,30 +405,42 @@ def _tokenize_block(b: np.ndarray):
     bad = np.zeros(len(first), dtype=bool)
     bad[np.searchsorted(first, bad_tokens, side="right") - 1] = True
 
-    # Values, one decimal place per pass from the right.  A leading sign
-    # enters as the digit (sign - 48) and is taken back out afterwards.
-    length = np.minimum(ends - starts, _MAX_TOKEN_CHARS)
-    vals = b[ends - 1].astype(np.int64) - 48
-    for k in range(1, int(length.max(initial=0))):
-        sel = np.flatnonzero(length > k)
-        vals[sel] += (b[ends[sel] - 1 - k].astype(np.int64) - 48) * _POW10[k]
+    # Values, 8 digits per word (SWAR, "SIMD within a register").  The 8
+    # bytes that end k*8 bytes before a token's end, read as a little-endian
+    # uint64, hold digits with the most significant at the lowest byte.
+    # Masking keeps the token's digits, not the bytes before them or its
+    # sign, as 0..9 in their bytes; three multiply-shift-mask steps then
+    # combine neighbouring bytes, byte pairs and halves into the number.
+    digits = np.minimum(ends - starts, _MAX_TOKEN_CHARS)
     signed = np.searchsorted(starts, where_sign[~misplaced])
-    lead = b[starts[signed]].astype(np.int64)
-    vals[signed] -= (lead - 48) * _POW10[length[signed] - 1]
-    vals[signed] *= np.where(lead == 45, -1, 1)
+    digits[signed] -= 1
+    # 24 leading bytes put the three words before any token's end in bounds;
+    # ``words[i]`` is the 8 bytes from ``padded[i]``, one word per offset.
+    padded = np.zeros(len(b) + 24, dtype=np.uint8)
+    padded[24:] = b
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    depth = (int(digits.max(initial=0)) + 7) // 8
+    w = words[ends + 16 - 8 * np.arange(depth)[:, None]]
+    w &= _DIGIT_MASKS[:depth, digits]
+    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
+        high = w >> np.uint64(shift)
+        w *= np.uint64(10 ** (shift // 8))
+        w += high
+        w &= np.uint64(mask)
+    vals = (_WORD_SCALE[:depth] @ w).view(np.int64)
+    vals[signed] *= np.where(b[starts[signed]] == 45, -1, 1)
     return starts, first, bad, vals
 
 
 def save_palog(g: AttachmentLog, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_palog(g))
+    with open(path, "wb") as fh:
+        fh.writelines(_palog_blocks(g))
 
 
 def load_palog(path) -> AttachmentLog:
-    # Latin-1 decodes any bytes, one character each, so a file that is not
-    # text still reaches the parser, which rejects every non-ASCII byte.
     with open(path, "rb") as fh:
-        return parse_palog(fh.read().decode("latin-1"))
+        data = fh.read()
+    return _parse_palog_bytes(data.translate(_ASCII_OR_QMARK))
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,8 @@ def parse_palog_by_line(text):
         parts = ln.split()
         expect_t = idx + 2
         try:
+            if max(map(len, parts)) > 18:  # the grammar's longest token
+                raise ValueError("token too long")
             t = int(parts[0])
             row = [int(p) for p in parts[1:]]
         except ValueError as exc:

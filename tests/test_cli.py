@@ -215,6 +215,31 @@ def test_level_outside_unit_interval_is_a_usage_error(tmp_path, capsys):
     assert code == 0 and payload["result"]["level"] == 0.9
 
 
+def test_localize_campaign_checks_tau_like_simulate(capsys):
+    argv = ["localize", "--n", "50", "--m", "1", "--delta0", "0", "--delta1", "1",
+            "--replicates", "2", "--seed", "1", "--threads", "1"]
+    for tau in ("80", "51", "-1"):
+        code, payload = run_cli(argv + ["--tau", tau], capsys)
+        assert code == 2 and payload["error"]["type"] == "usage", tau
+        assert "0..50" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_SEEDED["localize"] + ["--seed", "abc"], "argument --seed: the seed must be an integer"),
+        (_SEEDED["test"][:-2] + ["--replicates", "2.5", "--seed", "1"],
+         "argument --replicates: the replicate count must be an integer"),
+        (["mle", "--graph", "g.palog", "--tau", "2", "--level", "high"],
+         "argument --level: the level must be a number"),
+    ],
+)
+def test_bad_numbers_are_readable_usage_errors(argv, message, capsys):
+    code, payload = run_cli(argv, capsys)
+    assert code == 2 and payload["error"]["type"] == "usage"
+    assert payload["error"]["message"].startswith(message)
+
+
 def test_martingale_probe_tau_prime_past_n_is_a_domain_error(capsys):
     for tau_prime in ("50", "60"):
         code, payload = run_cli(

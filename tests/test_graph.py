@@ -26,7 +26,7 @@ from pacp.errors import (
     TargetTooLarge,
     WrongOutDegree,
 )
-from pacp.graph import substep_degrees, window_tail_diff
+from pacp.graph import _format_rows, _tokenize, substep_degrees, window_tail_diff
 from pacp.reduction import kernel_sample
 
 from helpers import (
@@ -270,6 +270,39 @@ def test_palog_format_matches_per_line_oracle(g):
     assert parse_palog(text) == g
 
 
+def test_palog_digit_boundaries_match_per_line_oracle():
+    # Targets on each side of a change in digit count, one of them at the
+    # formatter's 4-digit group boundary; arrival labels run to 100 001.
+    n, m = 100_001, 2
+    targets = np.random.default_rng(5).integers(0, np.arange(2, n + 1), size=(m, n - 1)).T
+    boundaries = [9, 10, 9_999, 10_000, 99_999, 100_000]
+    targets[[b - 1 for b in boundaries], 0] = boundaries  # arrival b + 1 may name b
+    g = AttachmentLog(n, m, targets.ravel())
+    text = format_palog(g)
+    assert text == format_palog_by_line(g)
+    assert parse_palog(text) == parse_palog_by_line(text) == g
+
+
+_DIGIT_COUNTS = [0] + [v for k in range(1, 18) for v in (10**k - 1, 10**k)] + [10**18 - 1]
+
+
+def test_format_rows_matches_str():
+    values = _DIGIT_COUNTS
+    assert _format_rows(np.array([values])) == (" ".join(map(str, values)) + "\n").encode()
+    column = np.array(values)[:, None]
+    assert _format_rows(column) == "".join(f"{v}\n" for v in values).encode()
+
+
+def test_tokenize_reads_every_digit_count():
+    # Up to 18 digits, so the digits fill one, two or three 8-byte words.
+    tokens = [str(v) for v in _DIGIT_COUNTS]
+    tokens += [sign + t for t in tokens if len(t) < 18 for sign in "+-"]
+    tokens += [t.zfill(18) for t in tokens]
+    _, _, bad, values = _tokenize(("\n" + " ".join(tokens) + "\n").encode(), 0)
+    assert not bad.any()
+    assert values.tolist() == [int(t) for t in tokens]
+
+
 def _line(draw, lines):
     return draw(st.integers(0, len(lines) - 1))
 
@@ -322,6 +355,19 @@ def _target_too_large(draw, lines, g):
             lines[i] = " ".join(parts)
 
 
+def _pad_token(draw, lines, g):
+    """Rewrite an unsigned token as an optional sign and zero padding to
+    9-19 characters: the digits span two or three 8-byte words, or the
+    token is one character too long."""
+    i = _line(draw, lines)
+    parts = lines[i].split(" ")
+    j = draw(st.integers(0, len(parts) - 1))
+    if parts[j].isdigit():
+        sign = draw(st.sampled_from(["", "+", "-"]))
+        parts[j] = sign + parts[j].zfill(draw(st.integers(9, 19)) - len(sign))
+        lines[i] = " ".join(parts)
+
+
 def _blank_line(draw, lines, g):
     blank = draw(st.sampled_from(["", " ", "\t", " \t  "]))
     lines.insert(draw(st.integers(0, len(lines))), blank)
@@ -352,7 +398,7 @@ def _header(draw, lines, g):
 
 _MUTATIONS = [
     _drop, _duplicate, _swap, _add_token, _remove_token, _bad_token, _target_too_large,
-    _blank_line, _respace, _header,
+    _blank_line, _respace, _header, _pad_token,
 ]
 
 
