@@ -1,9 +1,10 @@
 """Batch front-end: simulation, likelihood evaluation, testing, estimation,
 localization, and reduction campaigns with reproducible seeded outputs.
 
-Summaries are JSON (stable field set under the "v1" tag), per-replicate
-tables are CSV, graphs travel as PALOG text.  Outputs are byte-reproducible
-from the echoed config and master seed, whatever the parallelism degree.
+Summaries are strict JSON (stable field set under the "v1" tag; a non-finite
+number is written as null), per-replicate tables are CSV, graphs travel as
+PALOG text.  Outputs are byte-reproducible from the echoed config and master
+seed, whatever the parallelism degree.
 
 Exit codes: 0 success (abstentions are data), 2 bad arguments, 3 domain error.
 """
@@ -44,11 +45,24 @@ def _number(convert, text: str, what: str):
         raise argparse.ArgumentTypeError(f"{what}, got {text!r}") from None
 
 
-def _replicate_count(text: str) -> int:
-    count = _number(int, text, "the replicate count must be an integer")
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"need at least one replicate, got {count}")
-    return count
+def _count_of(noun: str):
+    def count_type(text: str) -> int:
+        count = _number(int, text, f"the {noun} count must be an integer")
+        if count < 1:
+            raise argparse.ArgumentTypeError(f"need at least one {noun}, got {count}")
+        return count
+
+    return count_type
+
+
+_replicate_count, _thread_count = _count_of("replicate"), _count_of("thread")
+
+
+def _finite(text: str) -> float:
+    value = _number(float, text, "expected a finite number")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _master_seed(text: str) -> int:
@@ -65,7 +79,7 @@ def _level(text: str) -> float:
     return level
 
 
-def _profile_from(args, n: int) -> DeltaProfile:
+def _profile_from(args) -> DeltaProfile:
     if args.delta1 is None and args.tau is None:
         return DeltaProfile.constant(args.delta0)
     if args.delta1 is None or args.tau is None:
@@ -73,9 +87,14 @@ def _profile_from(args, n: int) -> DeltaProfile:
     return DeltaProfile.step(args.delta0, args.delta1, args.tau)
 
 
-def _check_delta(name: str, value: float, m: int) -> None:
-    if value <= -m:
-        raise _UsageError(f"--{name} must be > -m = {-m}, got {value}")
+def _check_deltas(args, m: int) -> None:
+    """The model's domain rule on --m and every delta flag given, as a usage
+    error naming the flag (the rule's message starts with the name)."""
+    deltas = {k: getattr(args, k) for k in ("delta0", "delta1") if getattr(args, k) is not None}
+    try:
+        errors.check_domain(m, **deltas)
+    except errors.DomainError as exc:
+        raise _UsageError(f"--{exc}") from None
 
 
 def _check_tau(tau: int | None, n: int, lo: int = 0) -> None:
@@ -83,13 +102,27 @@ def _check_tau(tau: int | None, n: int, lo: int = 0) -> None:
         raise _UsageError(f"--tau must lie in {lo}..{n}, got {tau}")
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    _emit({"version": OUTPUT_VERSION, "error": {"type": kind, "message": str(exc)}}, None)
+    return code
 
 
 def _write_csv(path: str, fieldnames: list[str], rows: list[dict]) -> None:
@@ -112,11 +145,9 @@ def _config_echo(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args):
-    _check_delta("delta0", args.delta0, args.m)
-    if args.delta1 is not None:
-        _check_delta("delta1", args.delta1, args.m)
+    _check_deltas(args, args.m)
     _check_tau(args.tau, args.n)
-    profile = _profile_from(args, args.n)
+    profile = _profile_from(args)
     g = simulate(args.n, args.m, profile, args.seed)
     save_palog(g, args.out)
     result = {"path": args.out, "n": g.n, "m": g.m, "edges": g.n * g.m}
@@ -125,11 +156,9 @@ def _cmd_simulate(args):
 
 def _cmd_loglik(args):
     g = load_palog(args.graph)
-    _check_delta("delta0", args.delta0, g.m)
-    if args.delta1 is not None:
-        _check_delta("delta1", args.delta1, g.m)
+    _check_deltas(args, g.m)
     _check_tau(args.tau, g.n)
-    profile = _profile_from(args, g.n)
+    profile = _profile_from(args)
     ll = log_likelihood(g, profile)
     result = {
         "loglik": ll.value,
@@ -142,8 +171,7 @@ def _cmd_loglik(args):
 
 def _cmd_lr(args):
     g = load_palog(args.graph)
-    _check_delta("delta0", args.delta0, g.m)
-    _check_delta("delta1", args.delta1, g.m)
+    _check_deltas(args, g.m)
     _check_tau(args.tau, g.n, lo=1)
     if args.method == "both":
         tail = log_lr(g, args.tau, args.delta0, args.delta1, method="tail")
@@ -217,11 +245,10 @@ def summarize_test_campaign(rows: list[dict]) -> dict:
 def _cmd_test(args):
     if args.graph is not None:
         g = load_palog(args.graph)
+        _check_deltas(args, g.m)
         if args.mode == "known":
             if args.delta0 is None or args.delta1 is None:
                 raise _UsageError("--mode known needs --delta0 and --delta1")
-            _check_delta("delta0", args.delta0, g.m)
-            _check_delta("delta1", args.delta1, g.m)
             _check_tau(args.tau, g.n, lo=1)
             verdict = lr_test(g, args.tau, args.delta0, args.delta1)
         else:
@@ -232,10 +259,8 @@ def _cmd_test(args):
     for name in ("n", "m", "delta0", "delta1", "replicates", "seed"):
         if getattr(args, name) is None:
             raise _UsageError(f"campaign mode needs --{name}")
-    _check_delta("delta0", args.delta0, args.m)
-    _check_delta("delta1", args.delta1, args.m)
-    if not 1 <= args.tau < args.n:
-        raise _UsageError(f"--tau must lie in 1..n-1, got {args.tau}")
+    _check_deltas(args, args.m)
+    _check_tau(args.tau, args.n - 1, lo=1)
     threads = campaign.resolve_threads(args.threads)
     rows = campaign.run_replicates(
         _test_replicate,
@@ -273,8 +298,7 @@ def _localize_replicate(r, n, m, tau, delta0, delta1, seed):
 def _cmd_localize(args):
     if args.graph is not None:
         g = load_palog(args.graph)
-        _check_delta("delta0", args.delta0, g.m)
-        _check_delta("delta1", args.delta1, g.m)
+        _check_deltas(args, g.m)
         tau_hat, profile = localize_tau(g, args.delta0, args.delta1)
         result = {
             "tau_hat": tau_hat,
@@ -291,8 +315,7 @@ def _cmd_localize(args):
     for name in ("n", "m", "delta0", "delta1", "tau", "replicates", "seed"):
         if getattr(args, name) is None:
             raise _UsageError(f"campaign mode needs --{name}")
-    _check_delta("delta0", args.delta0, args.m)
-    _check_delta("delta1", args.delta1, args.m)
+    _check_deltas(args, args.m)
     _check_tau(args.tau, args.n)
     threads = campaign.resolve_threads(args.threads)
     rows = campaign.run_replicates(
@@ -319,8 +342,7 @@ def _cmd_localize(args):
 
 def _cmd_reduce(args):
     g = load_palog(args.graph)
-    _check_delta("delta0", args.delta0, g.m)
-    _check_delta("delta1", args.delta1, g.m)
+    _check_deltas(args, g.m)
     ctx = reduction.ReductionContext.build(
         g, args.tau, args.tau_prime, args.alpha, args.delta0, args.delta1
     )
@@ -338,6 +360,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_contiguity(args):
+    _check_deltas(args, args.m)
     threads = campaign.resolve_threads(args.threads)
     common = dict(
         n=args.n,
@@ -348,8 +371,6 @@ def _cmd_contiguity(args):
         seed=args.seed,
         threads=threads,
     )
-    _check_delta("delta0", args.delta0, args.m)
-    _check_delta("delta1", args.delta1, args.m)
     if args.probe != "martingale" and args.tau is None:
         raise _UsageError(f"--probe {args.probe} needs --tau")
     if args.probe == "second-moment":
@@ -367,7 +388,7 @@ def _cmd_contiguity(args):
     result = {
         "probe": args.probe,
         "estimate": mc.estimate,
-        "stderr": None if math.isnan(mc.stderr) else mc.stderr,
+        "stderr": mc.stderr,
         "replicates": mc.replicates,
         "auxiliaries": mc.auxiliaries,
     }
@@ -386,7 +407,7 @@ def _cmd_contiguity(args):
 
 
 def _cmd_theory(args):
-    _check_delta("delta0", args.delta0, args.m)
+    _check_deltas(args, args.m)
     law = theory.DegreeLaw(args.m, args.delta0)
     head = law.head(args.kmax)
     result = {
@@ -396,7 +417,6 @@ def _cmd_theory(args):
         "p_tail_kmax": float(law.tail(args.kmax)),
     }
     if args.delta1 is not None:
-        _check_delta("delta1", args.delta1, args.m)
         result["ell_inf_0"] = theory.limit_loglr_rate(args.delta0, args.delta1, args.m, "H0").value
         result["ell_inf_1"] = theory.limit_loglr_rate(args.delta0, args.delta1, args.m, "H1").value
         result["nu0"] = theory.asymptotic_variance(0, args.delta0, args.delta1, args.m).value
@@ -419,8 +439,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate a PALOG graph file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta1", type=float)
+    p.add_argument("--delta0", type=_finite, required=True)
+    p.add_argument("--delta1", type=_finite)
     p.add_argument("--tau", type=int)
     p.add_argument("--seed", type=_master_seed, required=True, help="64-bit unsigned master seed")
     p.add_argument("--out", required=True, help="PALOG destination path")
@@ -428,8 +448,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("loglik", help="exact log-likelihood of a PALOG graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta1", type=float)
+    p.add_argument("--delta0", type=_finite, required=True)
+    p.add_argument("--delta1", type=_finite)
     p.add_argument("--tau", type=int)
     add_common_out(p)
     p.set_defaults(func=_cmd_loglik)
@@ -437,8 +457,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("lr", help="log likelihood-ratio step vs constant")
     p.add_argument("--graph", required=True)
     p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta1", type=float, required=True)
+    p.add_argument("--delta0", type=_finite, required=True)
+    p.add_argument("--delta1", type=_finite, required=True)
     p.add_argument("--method", choices=["tail", "sequential", "both"], default="tail")
     add_common_out(p)
     p.set_defaults(func=_cmd_lr)
@@ -454,27 +474,27 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["known", "plugin"], default="known")
     p.add_argument("--graph")
     p.add_argument("--tau", type=int, required=True)
-    p.add_argument("--delta0", type=float)
-    p.add_argument("--delta1", type=float)
+    p.add_argument("--delta0", type=_finite)
+    p.add_argument("--delta1", type=_finite)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--replicates", type=_replicate_count)
     p.add_argument("--seed", type=_master_seed)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=_thread_count)
     p.add_argument("--csv", help="per-replicate table destination")
     add_common_out(p)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("localize", help="change-point localization sweep")
     p.add_argument("--graph")
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta1", type=float, required=True)
+    p.add_argument("--delta0", type=_finite, required=True)
+    p.add_argument("--delta1", type=_finite, required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--tau", type=int)
     p.add_argument("--replicates", type=_replicate_count)
     p.add_argument("--seed", type=_master_seed)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=_thread_count)
     p.add_argument("--csv", help="profile or per-replicate table destination")
     add_common_out(p)
     p.set_defaults(func=_cmd_localize)
@@ -483,9 +503,9 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True)
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--tau-prime", type=int, required=True, dest="tau_prime")
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta1", type=float, required=True)
+    p.add_argument("--alpha", type=_finite, default=1.0)
+    p.add_argument("--delta0", type=_finite, required=True)
+    p.add_argument("--delta1", type=_finite, required=True)
     add_common_out(p)
     p.set_defaults(func=_cmd_reduce)
 
@@ -493,24 +513,24 @@ def build_parser() -> _Parser:
     p.add_argument("--probe", choices=["second-moment", "event-bn", "martingale"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta1", type=float, required=True)
+    p.add_argument("--delta0", type=_finite, required=True)
+    p.add_argument("--delta1", type=_finite, required=True)
     p.add_argument("--tau", type=int)
     p.add_argument("--tau-prime", type=int, required=True, dest="tau_prime")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_finite, default=1.0)
     p.add_argument("--replicates", type=_replicate_count, required=True)
     p.add_argument("--seed", type=_master_seed, required=True)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--c1", type=_finite, default=1.0)
+    p.add_argument("--c2", type=_finite, default=1.0)
+    p.add_argument("--threads", type=_thread_count)
     p.add_argument("--csv", help="per-replicate table destination")
     add_common_out(p)
     p.set_defaults(func=_cmd_contiguity)
 
     p = sub.add_parser("theory", help="limiting degree law, rates, variance scales")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--delta1", type=float)
+    p.add_argument("--delta0", type=_finite, required=True)
+    p.add_argument("--delta1", type=_finite)
     p.add_argument("--kmax", type=int, default=20)
     add_common_out(p)
     p.set_defaults(func=_cmd_theory)
@@ -519,27 +539,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _emit({"version": OUTPUT_VERSION, "error": {"type": "usage", "message": str(exc)}}, None)
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
         result, seed, csv_rows = args.func(args)
     except _UsageError as exc:
-        _emit({"version": OUTPUT_VERSION, "error": {"type": "usage", "message": str(exc)}}, None)
-        return 2
+        return _fail("usage", exc, 2)
     except OSError as exc:
-        _emit({"version": OUTPUT_VERSION, "error": {"type": "io", "message": str(exc)}}, None)
-        return 2
+        return _fail("io", exc, 2)
     except errors.PacpError as exc:
-        payload = {
-            "version": OUTPUT_VERSION,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _emit(payload, None)
-        return 3
+        return _fail(type(exc).__name__, exc, 3)
     payload = {
         "version": OUTPUT_VERSION,
         "command": args.command,
@@ -547,10 +555,8 @@ def main(argv=None) -> int:
         "seed": seed,
         "result": result,
     }
-    if args.command == "simulate":
-        _emit(payload, None)
-    else:
-        _emit(payload, getattr(args, "out", None))
+    # simulate's --out is the graph file; every other command's is the summary
+    _emit(payload, None if args.command == "simulate" else args.out)
     if csv_rows is not None and getattr(args, "csv", None):
         fieldnames, rows = csv_rows
         _write_csv(args.csv, fieldnames, rows)

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the model's parameter
+domain rule."""
+
+import math
+from numbers import Integral
 
 
 class PacpError(Exception):
@@ -7,6 +11,19 @@ class PacpError(Exception):
 
 class DomainError(PacpError, ValueError):
     """A numeric argument is outside the domain an operation is defined on."""
+
+
+def check_domain(m, **deltas) -> None:
+    """Raise DomainError unless m is an integer >= 1 and every named delta is
+    finite and > -m: the domain of the affine attachment model.
+
+    Written so that NaN fails; the message names the parameter and its value.
+    """
+    if not (isinstance(m, Integral) and m >= 1):
+        raise DomainError(f"m must be an integer >= 1, got {m}")
+    for name, delta in deltas.items():
+        if not (math.isfinite(delta) and delta > -m):
+            raise DomainError(f"{name} must be finite and > -m = {-m}, got {delta}")
 
 
 class PalogError(PacpError, ValueError):

@@ -82,10 +82,6 @@ class AttachmentLog:
     def targets(self) -> np.ndarray:
         return self._targets
 
-    @property
-    def num_vertices(self) -> int:
-        return self.n + 1
-
     def row(self, t: int) -> np.ndarray:
         """Targets of arrival ``t`` (2 <= t <= n) in attachment order."""
         if not 2 <= t <= self.n:

@@ -6,14 +6,14 @@ likelihood-ratio tests, and single-pass change-point localization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DomainError, NoInteriorRoot
+from .errors import DomainError, NoInteriorRoot, check_domain
 from .graph import AttachmentLog, window_tail_diff
-from .likelihood import _s_grid, arrival_log_weights, log_likelihood, log_lr
+from .likelihood import _log_s_rows, arrival_log_weights, log_likelihood, log_lr
 from .simulation import DeltaProfile
 from .theory import asymptotic_variance
 
@@ -77,8 +77,7 @@ def score(g: AttachmentLog, window: tuple[int, int], delta: float) -> float:
     lo, hi = window
     if not 1 <= lo <= hi <= g.n:
         raise DomainError(f"window {window} out of range 1..{g.n}")
-    if delta <= -g.m:
-        raise DomainError(f"delta must be > -m = {-g.m}")
+    check_domain(g.m, delta=delta)
     return _window_score(g, window)(delta)
 
 
@@ -235,17 +234,7 @@ def mle(g: AttachmentLog, tau: int) -> MleResult:
 
 
 def _with_stderr(fit: WindowFit, length: int, nu: float) -> WindowFit:
-    stderr = 1.0 / math.sqrt(length * nu) if nu > 0 else None
-    return WindowFit(
-        window=fit.window,
-        status=fit.status,
-        delta_hat=fit.delta_hat,
-        score_at_estimate=fit.score_at_estimate,
-        bracket=fit.bracket,
-        bracket_scores=fit.bracket_scores,
-        iterations=fit.iterations,
-        stderr=stderr,
-    )
+    return replace(fit, stderr=1.0 / math.sqrt(length * nu) if nu > 0 else None)
 
 
 @dataclass(frozen=True)
@@ -313,18 +302,13 @@ def localize_tau(g: AttachmentLog, delta0: float, delta1: float):
     (tau = 0) likelihood.  Ties break toward the smallest tau.
     """
     n, m = g.n, g.m
-    if delta0 <= -m or delta1 <= -m:
-        raise DomainError(f"deltas must be > -m = {-m}")
+    check_domain(m, delta0=delta0, delta1=delta1)
     if delta0 == delta1:
         raise DomainError("localization needs delta0 != delta1")
     base = log_likelihood(g, DeltaProfile.constant(delta1)).value
     profile = np.full(n + 1, base, dtype=np.float64)  # arrival 1 is deterministic
     if n >= 2:
         deg_inc = -arrival_log_weights(g, 2, delta0, delta1)
-        s0, s1 = _s_grid(2, n, delta0, m), _s_grid(2, n, delta1, m)
-        np.log(s1, out=s1)
-        s1 -= np.log(s0, out=s0)
-        s_inc = s1.sum(axis=1)
-        profile[2:] = base + np.cumsum(deg_inc + s_inc)
+        profile[2:] = base + np.cumsum(deg_inc + _log_s_rows(2, n, delta0, delta1, m))
     tau_hat = int(np.argmax(profile))
     return tau_hat, profile

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_domain
 from .graph import AttachmentLog, substep_degrees, window_tail_diff
 from .simulation import DeltaProfile
 
@@ -36,10 +36,9 @@ __all__ = [
 
 def s_value(t: int, i: int, delta: float, m: int) -> float:
     """Normalizing total just before edge i of arrival t: (2m+d)t - 2m + i - 1."""
+    check_domain(m, delta=delta)
     if t < 2 or not 1 <= i <= m:
         raise DomainError(f"sub-step (t={t}, i={i}) needs t >= 2 and 1 <= i <= m")
-    if delta <= -m:
-        raise DomainError(f"delta must be > -m = {-m}")
     return (2 * m + delta) * t - 2 * m + (i - 1)
 
 
@@ -119,6 +118,15 @@ def _log_s_ratio(tau: int, n: int, d0: float, d1: float, m: int) -> float:
     return log_s_sum(tau + 1, n, d0, m) - log_s_sum(tau + 1, n, d1, m)
 
 
+def _log_s_rows(t_lo: int, t_hi: int, delta0: float, delta1: float, m: int) -> np.ndarray:
+    """Per-arrival sum_i log S(delta1) - log S(delta0) over the sub-steps of
+    arrivals t_lo..t_hi (from 2 on), one entry per arrival."""
+    s0, s1 = _s_grid(t_lo, t_hi, delta0, m), _s_grid(t_lo, t_hi, delta1, m)
+    np.log(s1, out=s1)
+    s1 -= np.log(s0, out=s0)
+    return s1.sum(axis=1)
+
+
 def _degree_price(m: int, size: int, delta0: float, delta1: float) -> np.ndarray:
     """Log weight log(k+delta1) - log(k+delta0) of one attachment to a vertex
     of degree k, for k = m .. m + size - 1."""
@@ -146,8 +154,7 @@ def log_lr(g: AttachmentLog, tau: int, delta0: float, delta1: float, method: str
     n, m = g.n, g.m
     if not 1 <= tau <= n:
         raise DomainError(f"tau must lie in 1..{n}, got {tau}")
-    if delta0 <= -m or delta1 <= -m:
-        raise DomainError(f"deltas must be > -m = {-m}")
+    check_domain(m, delta0=delta0, delta1=delta1)
     if tau == n:
         return 0.0
     s_part = _log_s_ratio(tau, n, delta0, delta1, m)
@@ -201,8 +208,7 @@ def s_product_ratio(tau: int, n: int, delta0: float, delta1: float, m: int) -> B
         raise DomainError(f"the envelope needs tau >= 3, got {tau}")
     if n < tau:
         raise DomainError(f"need n >= tau, got n={n} < tau={tau}")
-    if delta0 <= -m or delta1 <= -m:
-        raise DomainError(f"deltas must be > -m = {-m}")
+    check_domain(m, delta0=delta0, delta1=delta1)
     width = n - tau
     log_value = _log_s_ratio(tau, n, delta0, delta1, m)
     center = m * width * math.log((2 * m + delta0) / (2 * m + delta1))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionViolated, UnsupportedRegime
+from .errors import DomainError, PreconditionViolated, UnsupportedRegime, check_domain
 from .graph import AttachmentLog, BoldSet, bold_vertices
 from .likelihood import _log_s_ratio, arrival_log_weights
 from .simulation import DeltaProfile, simulate
@@ -75,10 +75,9 @@ class ReductionContext:
         n, m = g.n, g.m
         if not 1 <= tau_prime < tau <= n:
             raise DomainError(f"need 1 <= tau_prime < tau <= n, got {tau_prime}, {tau}, {n}")
-        if alpha <= 0:
-            raise DomainError(f"alpha must be positive, got {alpha}")
-        if delta0 <= -m or delta1 <= -m:
-            raise DomainError(f"deltas must be > -m = {-m}")
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise DomainError(f"alpha must be finite and positive, got {alpha}")
+        check_domain(m, delta0=delta0, delta1=delta1)
         return cls(
             n=n,
             m=m,

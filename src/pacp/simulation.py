@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_domain
 from .graph import AttachmentLog
 
 __all__ = ["DeltaProfile", "simulate"]
@@ -54,11 +54,9 @@ class DeltaProfile:
             raise DomainError("step profiles need both delta1 and tau")
 
     def validate(self, n: int, m: int) -> None:
-        if self.delta0 <= -m:
-            raise DomainError(f"delta0 must be > -m = {-m}, got {self.delta0}")
+        check_domain(m, delta0=self.delta0)
         if self.is_step:
-            if self.delta1 <= -m:
-                raise DomainError(f"delta1 must be > -m = {-m}, got {self.delta1}")
+            check_domain(m, delta1=self.delta1)
             if not 0 <= self.tau <= n:
                 raise DomainError(f"tau must lie in 0..{n}, got {self.tau}")
 
@@ -110,8 +108,8 @@ def simulate(n: int, m: int, profile: DeltaProfile, seed) -> AttachmentLog:
     ``seed`` is anything numpy's ``default_rng`` accepts (a 64-bit integer or
     a tuple deriving a replicate stream from a master seed).
     """
-    if n < 1 or m < 1:
-        raise DomainError(f"need n >= 1 and m >= 1, got n={n}, m={m}")
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
     profile.validate(n, m)
     u = np.random.default_rng(seed).random((n - 1) * m)
     tau = profile.tau if profile.is_step else n

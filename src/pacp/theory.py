@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
-from .likelihood import BoundedValue, _enveloped, _s_grid
+from .errors import DomainError, check_domain
+from .likelihood import BoundedValue, _enveloped, _log_s_rows, _s_grid
 
 __all__ = [
     "DegreeLaw",
@@ -42,8 +42,7 @@ def limit_degree_pmf(k, m: int, delta: float):
     """
     from scipy.special import gammaln  # scipy loads only when the limit law is evaluated
 
-    if delta <= -m:
-        raise DomainError(f"delta must be > -m = {-m}")
+    check_domain(m, delta=delta)
     karr = np.asarray(k, dtype=np.float64)
     if (karr < m).any():
         raise DomainError(f"degree law starts at k = m = {m}")
@@ -130,8 +129,7 @@ def limit_loglr_rate(
     Both expectations run over the delta0 degree law; both are strictly
     positive whenever delta0 != delta1.
     """
-    if delta0 <= -m or delta1 <= -m:
-        raise DomainError(f"deltas must be > -m = {-m}")
+    check_domain(m, delta0=delta0, delta1=delta1)
     if hypothesis not in ("H0", "H1"):
         raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
     if hypothesis == "H0":
@@ -226,8 +224,7 @@ def asymptotic_variance(j: int, delta0: float, delta1: float, m: int) -> Truncat
     """
     if j not in (0, 1):
         raise ValueError(f"j must be 0 or 1, got {j}")
-    if delta0 <= -m or delta1 <= -m:
-        raise DomainError(f"deltas must be > -m = {-m}")
+    check_domain(m, delta0=delta0, delta1=delta1)
     dj = delta0 if j == 0 else delta1
     gap = _jensen_gap(dj, m, delta0)
     scale = m / (2.0 * m + dj)
@@ -245,8 +242,7 @@ def score_limit(delta: float, delta0: float, delta1: float, m: int) -> Truncated
     ``remainder_bound`` certifying the truncated tail.  It is exactly 0 at
     delta = d1.
     """
-    if delta <= -m or delta0 <= -m or delta1 <= -m:
-        raise DomainError(f"deltas must be > -m = {-m}")
+    check_domain(m, delta=delta, delta0=delta0, delta1=delta1)
     gap = _jensen_gap(delta, m, delta0)
     scale = m / (2.0 * m + delta1) * (delta1 - delta)
     return TruncatedSeries(scale * gap.value, abs(scale) * gap.remainder_bound, gap.terms)
@@ -258,8 +254,8 @@ class MomentCoeffs:
 
     mean = (m+delta0) * gamma_prod and
     second_moment = xi (m+delta0)^2 + kappa (m+delta0), where the products
-    and sums defining gamma_prod, xi, kappa run over arrivals
-    max(1, u) < j <= t.
+    and sums defining gamma_prod, xi, kappa run over the sub-steps of the
+    arrivals max(1, u) < j <= t.
     """
 
     u: int
@@ -275,27 +271,20 @@ class MomentCoeffs:
 
 def degree_moment(u: int, t: int, m: int, delta0: float) -> MomentCoeffs:
     """Exact E[d(u)+delta0] and E[(d(u)+delta0)^2] at time t under the
-    constant-parameter law, via the per-arrival martingale recursions."""
-    if delta0 <= -m:
-        raise DomainError(f"delta0 must be > -m = {-m}")
+    constant-parameter law, via the per-sub-step moment recursions."""
+    check_domain(m, delta0=delta0)
     if not 0 <= u < t:
         raise DomainError(f"need 0 <= u < t, got u={u}, t={t}")
-    r = max(1, u)
     base = m + delta0
-    xi, kappa, gamma_prod = 1.0, 0.0, 1.0
-    for j in range(t, r, -1):
-        s = (2.0 * m + delta0) * j - 2.0 * m + np.arange(m, dtype=np.float64)
-        alpha_j = float(np.prod(1.0 + 2.0 / s))
-        gamma_j = float(np.prod(1.0 + 1.0 / s))
-        beta_j = 0.0
-        for k in range(m, 0, -1):
-            # beta recursion runs backward over sub-steps within arrival j
-            beta_j = beta_j * (1.0 + 1.0 / s[k - 1]) + (
-                float(np.prod(1.0 + 2.0 / s[k:])) / s[k - 1]
-            )
-        kappa = xi * beta_j + kappa * gamma_j
-        xi = xi * alpha_j
-        gamma_prod *= gamma_j
+    # A sub-step of total S maps E[X] to E[X](1 + 1/S) and E[X^2] to
+    # E[X^2](1 + 2/S) + E[X]/S.  Over the N sub-steps in time order, with
+    # G_i = prod_{l<=i}(1 + 1/S_l) and xi_i = prod_{l<=i}(1 + 2/S_l):
+    # gamma_prod = G_N, xi = xi_N and kappa = xi_N sum_i G_{i-1}/(S_i xi_i).
+    s = _s_grid(max(1, u) + 1, t, delta0, m).ravel()
+    g_run = np.cumprod(np.append(1.0, 1.0 + 1.0 / s))
+    xi_run = np.cumprod(np.append(1.0, 1.0 + 2.0 / s))
+    xi, gamma_prod = float(xi_run[-1]), float(g_run[-1])
+    kappa = xi * float((g_run[:-1] / (s * xi_run[1:])).sum())
     return MomentCoeffs(
         u=u,
         t=t,
@@ -316,12 +305,8 @@ def mean_weight_mn(tau_prime: int, n: int, delta0: float, delta1: float, m: int)
         raise DomainError(f"the envelope needs tau_prime >= 3, got {tau_prime}")
     if n <= tau_prime:
         raise DomainError(f"need n > tau_prime, got n={n}, tau_prime={tau_prime}")
-    if delta0 <= -m or delta1 <= -m:
-        raise DomainError(f"deltas must be > -m = {-m}")
-    log_ratio = np.log(_s_grid(tau_prime + 1, n, delta1, m)) - np.log(
-        _s_grid(tau_prime + 1, n, delta0, m)
-    )
-    value = float(np.exp(log_ratio.sum(axis=1)).mean())
+    check_domain(m, delta0=delta0, delta1=delta1)
+    value = float(np.exp(_log_s_rows(tau_prime + 1, n, delta0, delta1, m)).mean())
     center = m * math.log((2 * m + delta1) / (2 * m + delta0))
     return _enveloped(value, math.log(value), center, 6.0 * m / tau_prime)
 

@@ -470,3 +470,23 @@ def log_numerator_gammaln(g, profile):
             - _numerator_block(hist_pre, m, d1)
         )
     return num
+
+
+def degree_moment_by_arrival(u, t, m, delta0):
+    """(xi, kappa, gamma_prod) of ``theory.degree_moment`` by the backward
+    per-arrival recursion with an inner loop over sub-steps: the form before
+    the forward cumulative products, kept as their oracle."""
+    xi, kappa, gamma_prod = 1.0, 0.0, 1.0
+    for j in range(t, max(1, u), -1):
+        s = (2.0 * m + delta0) * j - 2.0 * m + np.arange(m, dtype=np.float64)
+        alpha_j = float(np.prod(1.0 + 2.0 / s))
+        gamma_j = float(np.prod(1.0 + 1.0 / s))
+        beta_j = 0.0
+        for k in range(m, 0, -1):
+            beta_j = beta_j * (1.0 + 1.0 / s[k - 1]) + (
+                float(np.prod(1.0 + 2.0 / s[k:])) / s[k - 1]
+            )
+        kappa = xi * beta_j + kappa * gamma_j
+        xi = xi * alpha_j
+        gamma_prod *= gamma_j
+    return xi, kappa, gamma_prod

@@ -232,12 +232,80 @@ def test_localize_campaign_checks_tau_like_simulate(capsys):
          "argument --replicates: the replicate count must be an integer"),
         (["mle", "--graph", "g.palog", "--tau", "2", "--level", "high"],
          "argument --level: the level must be a number"),
+        (["lr", "--graph", "g.palog", "--tau", "2", "--delta0", "zero", "--delta1", "1"],
+         "argument --delta0: expected a finite number, got 'zero'"),
+        (["lr", "--graph", "g.palog", "--tau", "2", "--delta0", "0", "--delta1=-inf"],
+         "argument --delta1: expected a finite number, got '-inf'"),
+        (["reduce", "--graph", "g.palog", "--tau", "2", "--tau-prime", "1", "--alpha", "nan",
+          "--delta0", "0", "--delta1", "1"],
+         "argument --alpha: expected a finite number, got 'nan'"),
+        (_SEEDED["contiguity"] + ["--seed", "1", "--c1", "inf"],
+         "argument --c1: expected a finite number, got 'inf'"),
+        (_SEEDED["contiguity"] + ["--seed", "1", "--c2", "NaN"],
+         "argument --c2: expected a finite number, got 'NaN'"),
+        (_SEEDED["test"] + ["--seed", "1", "--threads", "-3"],
+         "argument --threads: need at least one thread, got -3"),
+        (_SEEDED["localize"] + ["--seed", "1", "--threads", "0"],
+         "argument --threads: need at least one thread, got 0"),
+        (_SEEDED["localize"] + ["--seed", "1", "--threads", "two"],
+         "argument --threads: the thread count must be an integer"),
     ],
 )
 def test_bad_numbers_are_readable_usage_errors(argv, message, capsys):
     code, payload = run_cli(argv, capsys)
     assert code == 2 and payload["error"]["type"] == "usage"
     assert payload["error"]["message"].startswith(message)
+
+
+def test_parameters_outside_the_model_domain_are_usage_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    g = tmp_path / "g.palog"
+    g.write_text(format_palog(simulate(30, 2, DeltaProfile.constant(0.5), 12)))
+    cases = (
+        (["theory", "--m", "0", "--delta0", "1"], "--m must be an integer >= 1, got 0"),
+        (["theory", "--m", "-1", "--delta0", "1", "--delta1", "2"], "--m must be an integer >= 1"),
+        (["theory", "--m", "2", "--delta0", "1", "--delta1", "-2"],
+         "--delta1 must be finite and > -m = -2, got -2.0"),
+        (["lr", "--graph", str(g), "--tau", "20", "--delta0", "nan", "--delta1", "1"],
+         "argument --delta0: expected a finite number, got 'nan'"),
+        (["simulate", "--n", "5", "--m", "0", "--delta0", "0", "--seed", "1", "--out", "x.palog"],
+         "--m must be an integer >= 1, got 0"),
+        (["simulate", "--n", "5", "--m", "1", "--delta0", "inf", "--seed", "1", "--out",
+          "x.palog"], "argument --delta0: expected a finite number, got 'inf'"),
+        (["test", "--graph", str(g), "--mode", "plugin", "--tau", "20", "--delta0", "-3"],
+         "--delta0 must be finite and > -m = -2, got -3.0"),
+    )
+    for argv, message in cases:
+        code, payload = run_cli(argv, capsys)
+        assert code == 2 and payload["error"]["type"] == "usage", argv
+        assert payload["error"]["message"].startswith(message), payload
+    assert not (tmp_path / "x.palog").exists()
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_summaries_are_strict_json_with_null_for_non_finite(capsys):
+    probes = (
+        ["contiguity", "--probe", "martingale", "--n", "60", "--m", "1", "--delta0", "0",
+         "--delta1", "1", "--tau-prime", "30", "--replicates", "1", "--seed", "1"],
+        ["contiguity", "--probe", "second-moment", "--n", "200", "--m", "1", "--delta0", "0",
+         "--delta1", "1", "--tau", "175", "--tau-prime", "100", "--alpha", "0.5",
+         "--replicates", "1", "--seed", "1"],
+    )
+    payloads = []
+    for argv in probes:
+        assert main(argv) == 0
+        payloads.append(_strict_json(capsys.readouterr().out)["result"])
+    martingale, second = payloads
+    assert martingale["stderr"] is None and martingale["auxiliaries"]["sd_z"] is None
+    assert second["stderr"] is None and second["auxiliaries"]["stderr_y_bn"] is None
+    assert second["auxiliaries"]["bound_log_rhs"] >= 700
+    assert second["auxiliaries"]["bound_rhs"] is None
 
 
 def test_martingale_probe_tau_prime_past_n_is_a_domain_error(capsys):

@@ -17,7 +17,7 @@ from pacp.theory import (
     mean_weight_mn,
 )
 
-from helpers import support_graphs
+from helpers import degree_moment_by_arrival, support_graphs
 
 
 def test_pmf_worked_values():
@@ -211,6 +211,18 @@ def test_degree_moment_worked_example():
     assert mc.kappa == pytest.approx(0.5, abs=1e-14)
     assert mc.mean == pytest.approx(1.5, abs=1e-14)
     assert mc.second_moment == pytest.approx(2.5, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_degree_moment_matches_per_arrival_recursion(m):
+    # the cumulative products round in another order than the per-arrival
+    # recursion, so the two agree to 1e-13 relative (about 450 ulp), not bitwise
+    for delta in (-0.9 * m, -0.3 * m, 0.0, 0.7, 2.5, 40.0):
+        for t in (1, 2, 3, 50, 400):
+            for u in sorted({0, 1, 2, t - 1} & set(range(t))):
+                mc = degree_moment(u, t, m, delta)
+                ref = degree_moment_by_arrival(u, t, m, delta)
+                assert (mc.xi, mc.kappa, mc.gamma_prod) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_degree_moment_monotone_growth():
