@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, campaign, errors, reduction, theory
 from .graph import load_palog, save_palog
 from .inference import localize_tau, lr_test, mle, plugin_lr_test
-from .likelihood import log_likelihood, log_lr
+from .likelihood import log_likelihood, log_lr, safe_exp
 from .simulation import DeltaProfile, simulate
 
 OUTPUT_VERSION = "v1"
@@ -354,7 +354,7 @@ def _cmd_reduce(args):
         "width_prime": ctx.width_prime,
         "event_bn": reduction.event_bn(ctx),
         "log_y": log_y,
-        "y": math.exp(log_y),
+        "y": safe_exp(log_y),
     }
     return result, None, None
 

@@ -1,6 +1,13 @@
 """Estimation and testing on observed attachment logs: window scores, the
 two-window maximum-likelihood estimator, the known-parameter and plug-in
 likelihood-ratio tests, and single-pass change-point localization.
+
+A window's score reads its normalizer from ``likelihood._window_powers``:
+arrivals t < T0 = 64 term by term, the rest as a J-term power series in
+1/(2m + delta) whose coefficients are the cached power sums (J <= 12, set
+from the window's first series arrival).  A score evaluation therefore costs
+O(T0 m + distinct degrees + J) whatever the window's length, and the
+root-finder's stopping rule reads the noise floor it reports.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, NoInteriorRoot, check_domain
 from .graph import AttachmentLog, window_tail_diff
-from .likelihood import _log_s_rows, arrival_log_weights, log_likelihood, log_lr
+from .likelihood import _log_s_rows, _window_powers, arrival_log_weights, log_likelihood, log_lr
 from .simulation import DeltaProfile
 from .theory import asymptotic_variance
 
@@ -34,36 +41,57 @@ GUARD_FACTOR = 1e-9  # admissible deltas start at -m + GUARD_FACTOR * m
 MAX_ITERATIONS = 100
 _XTOL = float(np.finfo(float).tiny)
 _RTOL = 4 * float(np.finfo(float).eps)
+_NOISE_EPS = 4 * float(np.finfo(float).eps)  # score noise floor per unit of sum |terms|
 
 
 def _window_score(g: AttachmentLog, window: tuple[int, int]):
     """The window's score as a function of delta, with the tail-count
-    increments and the arrival grid computed once.
+    increments and the window's normalizer table read once.
 
-    Each sub-step's normalizer term is t/S = 1/(m + delta + (m(t-2) + i)/t),
-    with S = (2m + delta)t - 2m + i: a sum of non-negative parts, so S keeps
-    its relative accuracy as delta nears -m, and one evaluation costs one
-    addition and one reciprocal per sub-step.  ``score_fn(delta, slope=True)``
-    also returns the score's derivative in delta,
-    sum t^2/S^2 - sum diff/(k+delta)^2, from the same arrays.
+    The score is sum_k diff_k/(k+delta) over the nonzero tail increments
+    minus the normalizer terms t/S.  Head arrivals (t < 64) give
+    1/(m + delta + (m(t-2) + i)/t), a sum of non-negative parts, so S keeps
+    its relative accuracy as delta nears -m.  The rest is
+    sum_j W_j A^-(j+1) with A = 2m + delta and W_j = P_j sum_i a_i^j from
+    ``likelihood._window_powers``, evaluated by Horner's rule; one
+    evaluation costs O(head + increments + J), independent of the window's
+    length.  ``score_fn(delta, slope=True)`` also returns the derivative in
+    delta, sum t^2/S^2 - sum diff/(k+delta)^2 (the series part is
+    sum_j (j+1) W_j A^-(j+2)), and the score's noise floor, a few eps times
+    the sum of the absolute values of its terms.
     """
     lo, hi = window
     m = g.m
     diff = window_tail_diff(g, lo, hi)
-    k = np.arange(m, m + len(diff), dtype=np.float64)
-    t = np.arange(max(lo, 2), hi + 1, dtype=np.float64)[:, None]
-    c = (m * (t - 2) + np.arange(m, dtype=np.float64)[None, :]) / t
+    k = np.flatnonzero(diff)
+    w = _window_powers(lo, hi, m)
+    heads = w.head.size
+    # every term is num/(base + delta): -1 per head sub-step, diff_k per degree
+    base = np.concatenate((m + w.head.ravel(), (m + k).astype(np.float64)))
+    num = np.concatenate((np.full(heads, -1.0), diff[k].astype(np.float64)))
+    # W_j and (j+1) W_j, highest power first for Horner's rule
+    weights = [p * a for p, a in zip(w.p, w.moments)]
+    series = weights[::-1]
+    series_slope = [(j + 1) * c for j, c in enumerate(weights)][::-1]
 
     def score_fn(delta: float, slope: bool = False):
-        r = (m + delta) + c
-        np.reciprocal(r, out=r)
-        kd = k + delta
-        u = diff / kd
-        value = float(u.sum()) - float(r.sum())
+        x = 1.0 / (2 * m + delta)
+        tail = 0.0
+        for c in series:
+            tail = tail * x + c
+        tail *= x
+        shifted = base + delta
+        terms = num / shifted
+        head, degree = float(terms[:heads].sum()), float(terms[heads:].sum())
+        value = degree + head - tail
         if not slope:
             return value
-        r = r.ravel()
-        return value, float(r @ r) - float((u / kd).sum())
+        tail_slope = 0.0
+        for c in series_slope:
+            tail_slope = tail_slope * x + c
+        terms /= shifted
+        noise = _NOISE_EPS * (degree - head + tail)
+        return value, tail_slope * x * x - float(terms.sum()), noise
 
     return score_fn
 
@@ -142,12 +170,17 @@ def _solve_window(score_fn, m: int, window: tuple[int, int]) -> WindowFit:
     The bracket is then polished by safeguarded Newton steps on the score's
     analytic slope, starting from the bracket's secant point.  Every
     evaluated point replaces the bracket end of its sign, so the root stays
-    bracketed.  A Newton step that would leave the bracket, as every step
-    taken where the slope is not negative would, is replaced by bisection.
-    The search stops when the score is exactly 0, when the step (Newton or
-    bisection) falls below (xtol + rtol|x|)/2 with xtol = tiny and
-    rtol = 4 eps, or after MAX_ITERATIONS evaluations.  The estimate is the
-    last evaluated point; it counts as converged when |score| <= SCORE_TOL.
+    bracketed.  A Newton step shorter than (xtol + rtol|x|)/2, with
+    xtol = tiny and rtol = 4 eps, is lengthened to that, so the far side of
+    a root is always tried; a step that would leave the bracket, as every
+    step taken where the slope is not negative would, is replaced by
+    bisection.  The polish stops when |score| is at or below the
+    evaluation's noise floor (a few eps times the sum of |terms|), when the
+    bracket's sign change lies within xtol + rtol|x|, or after
+    MAX_ITERATIONS evaluations.  The estimate is the last evaluated point;
+    it counts as converged when |score| <= max(SCORE_TOL, noise floor) or
+    the bracket is that narrow, so a root next to the guard, where one ulp
+    of delta moves the score by far more than SCORE_TOL, still converges.
     ``bracket`` and ``bracket_scores`` are those of the search, before
     polishing; ``iterations`` counts the polishing evaluations.
     """
@@ -186,28 +219,29 @@ def _solve_window(score_fn, m: int, window: tuple[int, int]) -> WindowFit:
     iterations = 0
     while True:
         iterations += 1
-        s, slope = score_fn(x, slope=True)
-        if s == 0.0 or iterations >= MAX_ITERATIONS:
-            break
+        s, slope, noise = score_fn(x, slope=True)
         if s > 0:
             a = x
-        else:
+        elif s < 0:
             b = x
-        tol = 0.5 * (_XTOL + _RTOL * abs(x))
+        if abs(s) <= noise or _bracketed(a, b) or iterations >= MAX_ITERATIONS:
+            break
         # x is now a bracket end, so a Newton step points into the bracket
         # exactly when the slope is negative
         step = s / slope if slope < 0.0 else math.inf
+        tol = 0.5 * (_XTOL + _RTOL * abs(x))
         if abs(step) < tol:
-            break
-        nxt = x - step
-        if not a < nxt < b:
-            step = 0.5 * (b - a)
-            nxt = a + step
-            if step < tol:
-                break
-        x = nxt
-    status = "converged" if abs(s) <= SCORE_TOL else "max_iterations"
+            step = math.copysign(tol, step)
+        x -= step
+        if not a < x < b:
+            x = a + 0.5 * (b - a)
+    status = "converged" if abs(s) <= max(SCORE_TOL, noise) or _bracketed(a, b) else "max_iterations"
     return WindowFit(window, status, x, s, bracket, bracket_scores, iterations)
+
+
+def _bracketed(a: float, b: float) -> bool:
+    """Whether a sign change between a and b pins the root to float accuracy."""
+    return b - a <= _XTOL + _RTOL * max(abs(a), abs(b))
 
 
 def mle(g: AttachmentLog, tau: int) -> MleResult:

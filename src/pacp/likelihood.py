@@ -9,12 +9,26 @@ normalizer sums log S over the grid S = (2m+d)t - 2m + i of its sub-steps.
 The order-sensitive scalar accumulations use exactly-rounded summation
 (math.fsum) so results do not depend on vertex labeling.  The module is
 numpy-only.
+
+Normalizers that compare two deltas, or that a root-finder re-evaluates,
+are priced from one power-sum table per window (``_window_powers``).  With
+A = 2m+d and a_i = 2m-i, sub-step i of arrival t has S = At - a_i, and
+t/S = sum_j a_i^j / (A^(j+1) t^j), where a_i/(At) < 2/t.  Arrivals below
+T0 = 64 are summed directly; from the window's first arrival T >= T0 on,
+the series is cut after J terms, the least J with (2/T)^J <= 1e-18 (J = 12
+at T = 64, 7 at T = 1501).  The table holds the head arrivals, the power
+sums P_j = sum_{t>=T} t^-j and the moments sum_i a_i^j for j = 0..J; it
+depends only on (lo, hi, m), so a small LRU cache keeps the last few
+windows, built on first use.  Every sum it feeds has terms of one sign, so
+no large sums cancel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,18 +127,107 @@ def log_likelihood(g: AttachmentLog, profile: DeltaProfile) -> LogLik:
     return LogLik(log_comb + num - norm, log_comb, num, norm)
 
 
+_T0 = 64  # arrivals below this are summed directly
+_SERIES_CUT = 1e-18  # the series stops at the least J with (2/T)^J <= this
+
+
+class _Powers(NamedTuple):
+    """A window's normalizer table (see the module docstring)."""
+
+    head: np.ndarray  # (m(t-2) + i)/t per head sub-step, one row per arrival
+    first_tail: int  # T: the first arrival priced by the series
+    p: tuple[float, ...]  # P_j = sum_{t=T}^{hi} t^-j, j = 0..J; P_0 counts them
+    moments: tuple[float, ...]  # sum_i (2m - i)^j, j = 0..J
+
+
+def _series_terms(first: int) -> int:
+    """The least J with (2/first)^J <= _SERIES_CUT."""
+    j = 1
+    while (2.0 / first) ** j > _SERIES_CUT:
+        j += 1
+    return j
+
+
+@functools.lru_cache(maxsize=32)
+def _window_powers(lo: int, hi: int, m: int) -> _Powers:
+    """The normalizer table of arrivals lo..hi (from 2 on); read-only."""
+    lo = max(lo, 2)
+    split = min(max(lo, _T0), hi + 1)
+    t = np.arange(lo, split, dtype=np.float64)[:, None]
+    head = (m * (t - 2) + np.arange(m, dtype=np.float64)[None, :]) / t
+    head.setflags(write=False)
+    j_max = _series_terms(split) if split <= hi else 0
+    inv = 1.0 / np.arange(split, hi + 1, dtype=np.float64)
+    p, power = [float(len(inv))], inv.copy()
+    for _ in range(j_max):
+        p.append(float(power.sum()))
+        power *= inv
+    a = [float(2 * m - i) for i in range(m)]
+    moments = tuple(math.fsum(x**j for x in a) for j in range(j_max + 1))
+    return _Powers(head, split, tuple(p), moments)
+
+
+def _log_quotient(num, den, diff):
+    """log(num/den) for positive num and den, given diff = num - den to full
+    accuracy: log1p(diff/den), except where num/den < 1/2, where
+    log(num/den) is the accurate form.  Arrays are priced elementwise."""
+    x = diff / den
+    if isinstance(x, float):
+        return math.log1p(x) if x >= -0.5 else math.log(num / den)
+    return np.where(x >= -0.5, np.log1p(np.maximum(x, -0.5)), np.log(num / den))
+
+
 def _log_s_ratio(tau: int, n: int, d0: float, d1: float, m: int) -> float:
-    """log of prod over post-change sub-steps of S(d0)/S(d1)."""
-    return log_s_sum(tau + 1, n, d0, m) - log_s_sum(tau + 1, n, d1, m)
+    """log of prod over post-change sub-steps of S(d0)/S(d1).
+
+    Each sub-step gives log(A0/A1) + log(1 - a_i/(A0 t)) - log(1 - a_i/(A1 t)):
+    summed over the series arrivals that is m N log(A0/A1) - sum_j M_j P_j
+    (A0^-j - A1^-j)/j, each power difference formed without cancellation.
+    """
+    w = _window_powers(tau + 1, n, m)
+    a0, a1 = 2 * m + d0, 2 * m + d1
+    head = float(_log_quotient(m + d0 + w.head, m + d1 + w.head, d0 - d1).sum())
+    log_ratio = _log_quotient(a0, a1, d0 - d1)
+    series, x, x0 = 0.0, 1.0, 1.0 / a0
+    for j in range(1, len(w.p)):
+        x *= x0
+        series += w.moments[j] * w.p[j] * x * math.expm1(j * log_ratio) / j
+    return math.fsum((head, m * w.p[0] * log_ratio, series))
 
 
 def _log_s_rows(t_lo: int, t_hi: int, delta0: float, delta1: float, m: int) -> np.ndarray:
     """Per-arrival sum_i log S(delta1) - log S(delta0) over the sub-steps of
-    arrivals t_lo..t_hi (from 2 on), one entry per arrival."""
-    s0, s1 = _s_grid(t_lo, t_hi, delta0, m), _s_grid(t_lo, t_hi, delta1, m)
-    np.log(s1, out=s1)
-    s1 -= np.log(s0, out=s0)
-    return s1.sum(axis=1)
+    arrivals t_lo..t_hi (from 2 on), one entry per arrival.
+
+    A series row is m log(A1/A0) plus the polynomial sum_j c_j t^-j with
+    c_j = M_j A1^-j expm1(j log(A1/A0))/j, evaluated by Horner's rule.  The
+    bound 2/t falls along the window, so each 16-fold stretch of arrivals
+    takes only the terms its own first arrival needs.
+    """
+    w = _window_powers(t_lo, t_hi, m)
+    heads = len(w.head)
+    rows = np.empty(heads + t_hi + 1 - w.first_tail)
+    rows[:heads] = _log_quotient(
+        m + delta1 + w.head, m + delta0 + w.head, delta1 - delta0
+    ).sum(axis=1)
+    log_ratio = _log_quotient(2 * m + delta1, 2 * m + delta0, delta1 - delta0)
+    x1 = 1.0 / (2 * m + delta1)
+    # c_0 = m log(A1/A0), then c_1..c_J
+    coef = [m * log_ratio] + [
+        w.moments[j] * x1**j * math.expm1(j * log_ratio) / j for j in range(1, len(w.p))
+    ]
+    first, offset = w.first_tail, heads - w.first_tail
+    while first <= t_hi:
+        stop = min(16 * first, t_hi + 1)
+        seg = rows[offset + first : offset + stop]
+        x = 1.0 / np.arange(first, stop, dtype=np.float64)
+        terms = coef[: _series_terms(first) + 1]
+        seg.fill(terms[-1])
+        for c in reversed(terms[:-1]):
+            seg *= x
+            seg += c
+        first = stop
+    return rows
 
 
 def _degree_price(m: int, size: int, delta0: float, delta1: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionViolated, UnsupportedRegime, check_domain
 from .graph import AttachmentLog, BoldSet, bold_vertices
-from .likelihood import _log_s_ratio, arrival_log_weights
+from .likelihood import _log_s_ratio, arrival_log_weights, safe_exp
 from .simulation import DeltaProfile, simulate
 from .theory import mean_weight_mn
 from . import campaign
@@ -143,7 +143,10 @@ def log_esp(log_values: np.ndarray, r: int) -> float:
 
 
 def _log_binom(k: int, r: int) -> float:
-    return math.lgamma(k + 1) - math.lgamma(r + 1) - math.lgamma(k - r + 1)
+    """log C(k, r) as the exactly rounded sum of log(1 + (k-s)/j), j = 1..s,
+    with s = min(r, k-r): positive terms, so no lgamma differences cancel."""
+    s = min(r, k - r)
+    return math.fsum(np.log1p((k - s) / np.arange(1, s + 1)).tolist())
 
 
 def log_permuted_lr(ctx: ReductionContext) -> float:
@@ -171,7 +174,7 @@ def log_permuted_lr(ctx: ReductionContext) -> float:
 
 
 def permuted_lr(ctx: ReductionContext) -> float:
-    return math.exp(log_permuted_lr(ctx))
+    return safe_exp(log_permuted_lr(ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,7 @@ def second_moment_bound_log_rhs(
         4.0 * alpha * width * width_prime / tau_prime
         + 22.0 * m * width * width / tau_prime
         + 2.0 / (3.0 * width_prime)
-        + math.sqrt(c1 * ratio) * math.exp(c2 * ratio)
+        + math.sqrt(c1 * ratio) * safe_exp(c2 * ratio)
     )
 
 
@@ -280,7 +283,7 @@ def second_moment_probe(
         seed=seed,
         auxiliaries={
             "bound_log_rhs": log_rhs,
-            "bound_rhs": math.exp(log_rhs) if log_rhs < 700 else float("inf"),
+            "bound_rhs": safe_exp(log_rhs),
             "p0_bn": float(np.mean([row["bn"] for row in rows])),
             "mean_y_bn": y_bn_mean,
             "stderr_y_bn": y_bn_se,

@@ -302,9 +302,20 @@ def solve_window_brentq(score_fn, m, window):
         score_fn, lo, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps,
         full_output=True, disp=False,
     )
-    s_root = score_fn(root)
-    status = "converged" if abs(s_root) <= SCORE_TOL else "max_iterations"
+    # the Newton polish's status rule: |s| within SCORE_TOL or the noise
+    # floor, or a sign change within xtol + rtol|root| of the root
+    s_root, _, noise = score_fn(root, slope=True)
+    converged = abs(s_root) <= max(SCORE_TOL, noise) or sign_change_near(score_fn, root, s_root)
+    status = "converged" if converged else "max_iterations"
     return WindowFit(window, status, root, s_root, (lo, hi), (s_lo, s_hi), res.iterations)
+
+
+def sign_change_near(score_fn, x, s):
+    """Whether the score, s at x, changes sign within xtol + rtol|x| of x
+    (xtol = tiny, rtol = 4 eps) on the side its sign points to."""
+    width = np.finfo(float).tiny + 4 * np.finfo(float).eps * abs(x)
+    near = score_fn(x + width if s > 0 else x - width)
+    return near <= 0 if s > 0 else near >= 0
 
 
 def arrival_log_weights_per_edge(g, t_lo, delta0, delta1):

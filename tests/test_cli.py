@@ -308,6 +308,23 @@ def test_summaries_are_strict_json_with_null_for_non_finite(capsys):
     assert second["auxiliaries"]["bound_rhs"] is None
 
 
+def test_overflowing_likelihood_ratios_print_null(tmp_path, capsys):
+    # a permuted log LR past 709 and a second-moment bound past float range
+    graph = str(tmp_path / "g.palog")
+    assert main(["simulate", "--n", "20000", "--m", "3", "--delta0", "0", "--delta1", "50",
+                 "--tau", "10000", "--seed", "3", "--out", graph]) == 0
+    capsys.readouterr()
+    assert main(["reduce", "--graph", graph, "--tau", "10000", "--tau-prime", "5000",
+                 "--delta0", "0", "--delta1", "50"]) == 0
+    reduced = _strict_json(capsys.readouterr().out)["result"]
+    assert reduced["log_y"] > 709 and reduced["y"] is None
+    assert main(["contiguity", "--probe", "second-moment", "--n", "200", "--m", "1",
+                 "--delta0", "0", "--delta1", "1", "--tau", "175", "--tau-prime", "100",
+                 "--alpha", "0.5", "--replicates", "4", "--seed", "1", "--c2", "1000"]) == 0
+    bound = _strict_json(capsys.readouterr().out)["result"]["auxiliaries"]
+    assert bound["bound_log_rhs"] is None and bound["bound_rhs"] is None
+
+
 def test_martingale_probe_tau_prime_past_n_is_a_domain_error(capsys):
     for tau_prime in ("50", "60"):
         code, payload = run_cli(

@@ -11,6 +11,8 @@ from pacp.errors import DomainError
 from pacp.likelihood import (
     LogLik,
     _log_mult_sum,
+    _log_s_ratio,
+    _log_s_rows,
     arrival_log_weights,
     log_likelihood,
     log_lr,
@@ -267,3 +269,48 @@ def test_s_product_ratio_bounds_never_violated():
         d0 = float(rng.uniform(-0.9 * m, 4))
         d1 = float(rng.uniform(-0.9 * m, 4))
         s_product_ratio(tau, n, d0, d1, m)
+
+
+def _mp_log_s_rows(lo, hi, d_num, d_den, m):
+    # per arrival, sum_i log S(d_num) - log S(d_den) with S = (2m+d)t - 2m + i
+    d_num, d_den = mpmath.mpf(d_num), mpmath.mpf(d_den)
+    return [
+        mpmath.fsum(
+            mpmath.log(((2 * m + d_num) * t - 2 * m + i) / ((2 * m + d_den) * t - 2 * m + i))
+            for i in range(m)
+        )
+        for t in range(max(lo, 2), hi + 1)
+    ]
+
+
+def test_normalizer_ratios_against_mpmath():
+    # Every sub-step's log S(d0)/S(d1) has the sign of d0 - d1, so the window
+    # sum and each per-arrival row are well conditioned: both must match a
+    # 40-digit sum to a few ulp.  The first case is the post-change window of
+    # a 1e5-arrival log, where the difference of two whole-window log sums
+    # erred by 4.9e-11 (25 ulp).
+    eps = np.finfo(float).eps
+    guard = 1e-9
+    with mpmath.workdps(40):
+        for tau, n, d0, d1, m in (
+            (90_000, 10**5, 0.0, 2.0, 3),
+            (99_990, 10**5, 0.3, 0.30001, 3),
+            (99_900, 10**5, 0.30001, 0.3, 1),
+            (10**6 - 100, 10**6, -3 + 3 * guard, 1e6, 3),
+            (10**6 - 1, 10**6, 1e6, -1 + 1e-6, 1),
+            (1, 100, 0.5, -1 + guard + 1e-7, 1),
+            (30, 130, 0.0, 2.0, 2),
+            (1, 50, 1e6, -2 + 2 * guard, 2),
+        ):
+            exact = mpmath.fsum(_mp_log_s_rows(tau + 1, n, d0, d1, m))
+            got = _log_s_ratio(tau, n, d0, d1, m)
+            assert abs(got - exact) <= 4 * eps * abs(exact), (tau, n, d0, d1, m)
+            rows = _log_s_rows(max(tau + 1, n - 99), n, d0, d1, m)
+            exact_rows = _mp_log_s_rows(max(tau + 1, n - 99), n, d1, d0, m)
+            for row, want in zip(rows, exact_rows):
+                assert abs(row - want) <= 4 * eps * abs(want), (tau, n, d0, d1, m)
+        # rows across the head/tail split of the normalizer table
+        for d0, d1, m in ((0.0, 2.0, 3), (-3 + 3 * guard, 1e6, 3), (0.3, 0.30001, 1)):
+            rows = _log_s_rows(2, 200, d0, d1, m)
+            for row, want in zip(rows, _mp_log_s_rows(2, 200, d1, d0, m)):
+                assert abs(row - want) <= 4 * eps * abs(want), (d0, d1, m)

@@ -15,6 +15,7 @@ from pacp.reduction import (
     event_bn_failure_probe,
     kernel_sample,
     log_esp,
+    log_permuted_lr,
     martingale_tail_probe,
     permuted_lr,
     second_moment_bound_log_rhs,
@@ -168,6 +169,22 @@ def test_second_moment_bound_worked_arithmetic():
         m=1, tau_prime=84, width=2, width_prime=16, alpha=2.0, c1=1.0, c2=1.0
     )
     assert log_rhs == pytest.approx(3.0476 + 1.0476 + 0.0417 + 0.6420, abs=2e-3)
+
+
+def test_likelihood_ratios_saturate_instead_of_overflowing():
+    # a large post-change parameter on a wide window: log Y is far past 709
+    g = simulate(4000, 3, DeltaProfile.step(0.0, 50.0, 2000), 3)
+    ctx = ReductionContext.build(g, 2000, 1000, 1.0, 0.0, 50.0)
+    log_y = log_permuted_lr(ctx)
+    assert math.isfinite(log_y) and log_y > 710
+    assert permuted_lr(ctx) == math.inf
+    # in range, the value is math.exp's
+    small = ReductionContext.build(g, 3990, 3900, 1.0, 0.0, 50.0)
+    assert permuted_lr(small) == math.exp(log_permuted_lr(small))
+    log_rhs = second_moment_bound_log_rhs(
+        m=1, tau_prime=100, width=25, width_prime=100, alpha=0.5, c1=1.0, c2=1000.0
+    )
+    assert log_rhs == math.inf
 
 
 def test_second_moment_probe_small_run():
