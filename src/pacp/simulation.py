@@ -6,15 +6,25 @@ Since d(v) = m + hits(v), a block of h consecutive vertices weighs its hit
 count plus h (m + delta).  The sampler keeps a binary indexed tree over the
 integer hit counts only and adds the affine part h (m + delta) per level of
 the descent, so a change of delta at tau touches no per-vertex state, a new
-vertex joins the pool with no update, and the tree never drifts.  A draw and
-its hit update are O(log n) each, on the whole range delta > -m.  The
-normalizing total is always taken from the closed form, never read back from
-the tree.
+vertex joins the pool with no update, and the tree never drifts.
+
+A draw is one O(log n) root-to-leaf pass that also records its hit, on the
+whole range delta > -m.  At level h the descent looks at node k = j + h,
+which covers vertices j..j+h-1.  The drawn vertex lies in that range exactly
+when the descent keeps j: either the node's weight reaches the remaining
+mass, or k > t lies past the pool and is skipped.  The nodes it keeps are
+therefore the Fenwick update path of the drawn vertex, so the pass adds one
+to each kept node up to n and nothing where it steps right.  The normalizing
+total is always taken from the closed form, never read back from the tree.
+When that total exceeds the tree's within its last bit, the descent can run
+past the pool to j = t; the guard then draws t - 1 and moves the hit the pass
+charged to the path of t over to the path of t - 1 with two short walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +67,8 @@ class DeltaProfile:
         check_domain(m, delta0=self.delta0)
         if self.is_step:
             check_domain(m, delta1=self.delta1)
+            if not isinstance(self.tau, Integral):
+                raise DomainError(f"tau must be an integer, got {self.tau!r}")
             if not 0 <= self.tau <= n:
                 raise DomainError(f"tau must lie in 0..{n}, got {self.tau}")
 
@@ -66,7 +78,8 @@ def _attach_kernel(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndar
 
     ``tau`` is the last arrival governed by d0; pass tau >= n for a constant
     profile.  Vertex v lives at tree index v + 1; the descent never reads an
-    index above t, so only the pool 0..t-1 can be drawn.
+    index above t, so only the pool 0..t-1 can be drawn.  Each descent adds
+    its hit to the nodes it keeps, which are the drawn vertex's update path.
     """
     tree = [0] * (n + 1)
     out = np.empty((n - 1) * m, dtype=np.int64)
@@ -91,14 +104,22 @@ def _attach_kernel(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndar
                     if w < s:
                         s -= w
                         j = k
+                    else:
+                        tree[k] += 1
+                elif k <= n:
+                    tree[k] += 1
             if j >= t:  # guards the <= 1 ulp gap between closed form and tree total
+                j = t  # the pass charged index t + 1; the hit belongs to index t
+                while j <= n:
+                    tree[j] += 1
+                    j += j & -j
+                j = t + 1
+                while j <= n:
+                    tree[j] -= 1
+                    j += j & -j
                 j = t - 1
             out[pos] = j
             pos += 1
-            j += 1
-            while j <= n:
-                tree[j] += 1
-                j += j & -j
     return out
 
 

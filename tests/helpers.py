@@ -2,7 +2,8 @@
 factorial brute force over label permutations, a per-edge degree replay, the
 per-line PALOG formatter and parser, the relabelable set by its definition,
 a pooled chi-square, the hypothesis strategy for attachment logs, the
-float-weight Fenwick sampler that fixes every seeded stream, the Brent
+float-weight Fenwick sampler that fixes every seeded stream, the two-pass
+hit-count sampler that reports its guard draws, the Brent
 window root-finder that the Newton polish replaced, the per-edge
 arrival log weights and sort-every-row multiplicity sum that the per-degree
 tables replaced, the whole-log degree layers that the cached final degrees
@@ -262,6 +263,45 @@ def attach_kernel_float_tree(n: int, m: int, d0: float, d1: float, tau: int, u) 
         if t < n and t != tau:
             _ft_add(tree, size, t + 1, m + delta)
     return out
+
+
+def attach_kernel_two_pass(n: int, m: int, d0: float, d1: float, tau: int, u):
+    """The hit-count sampler with its hit update as a second Fenwick walk
+    after each descent: the form the fused single pass replaced.  Returns
+    the targets and the positions of the draws whose descent ran past the
+    pool (the ``j >= t`` guard)."""
+    tree = [0] * (n + 1)
+    out = np.empty((n - 1) * m, dtype=np.int64)
+    ul = u.tolist()
+    two_m = 2 * m
+    halves = [1 << b for b in range(n.bit_length() - 1, -1, -1)]
+    delta = d0 if tau >= 2 else d1
+    guarded = []
+    pos = 0
+    for t in range(2, n + 1):
+        if t == tau + 1:
+            delta = d1
+        s_base = (two_m + delta) * t - two_m
+        for i in range(m):
+            s = ul[pos] * (s_base + i)
+            j = 0
+            for half in halves:
+                k = j + half
+                if k <= t:
+                    w = tree[k] + half * (m + delta)
+                    if w < s:
+                        s -= w
+                        j = k
+            if j >= t:
+                guarded.append(pos)
+                j = t - 1
+            out[pos] = j
+            pos += 1
+            j += 1
+            while j <= n:
+                tree[j] += 1
+                j += j & -j
+    return out, guarded
 
 
 def solve_window_brentq(score_fn, m, window):

@@ -5,6 +5,7 @@ m < 1 fail with DomainError everywhere."""
 
 import math
 
+import numpy as np
 import pytest
 
 from pacp import DeltaProfile, simulate
@@ -104,3 +105,24 @@ def test_reduction_alpha_must_be_finite_and_positive(graph):
     for alpha in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError, match="alpha"):
             ReductionContext.build(graph, 6, 3, alpha, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("tau", (2.5, 3.0, math.nan, "3"), ids=repr)
+def test_non_integer_tau_is_a_domain_error(tau, graph):
+    # a non-integral tau never equals an arrival, so simulate would draw the
+    # constant law, and log_likelihood would fail slicing at any float tau
+    profile = DeltaProfile(0.0, 5.0, tau)
+    for call in (
+        lambda: profile.validate(8, M),
+        lambda: simulate(8, M, profile, 3),
+        lambda: log_likelihood(graph, profile),
+    ):
+        with pytest.raises(DomainError, match=r"^tau must be an integer, got "):
+            call()
+
+
+def test_numpy_integer_tau_passes():
+    for tau in (np.int64(4), np.int32(0), np.uint8(8)):
+        DeltaProfile(0.0, 5.0, tau).validate(8, M)
+    g = simulate(8, M, DeltaProfile(0.0, 5.0, np.int64(4)), 3)
+    assert g == simulate(8, M, DeltaProfile.step(0.0, 5.0, 4), 3)

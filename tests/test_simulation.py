@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 from pacp import AttachmentLog, DeltaProfile, simulate
 from pacp.errors import DomainError
 from pacp.likelihood import log_likelihood
+from pacp.simulation import _attach_kernel
 
-from helpers import attach_kernel_float_tree, chi2_gof_pvalue, count_support, support_graphs
+from helpers import (
+    attach_kernel_float_tree,
+    attach_kernel_two_pass,
+    chi2_gof_pvalue,
+    count_support,
+    support_graphs,
+)
 
 
 def test_profile_validation():
@@ -98,6 +105,41 @@ def test_stream_digest_large():
     g = simulate(100_000, 3, DeltaProfile.step(0.3, -1.7, 60_000), 20260)
     digest = hashlib.sha256(g.targets.astype("<i8").tobytes()).hexdigest()
     assert digest == "1842f487f90d46e112d210967cce9c58b2ffc3e21284165dbc9e994f56eb556b"
+
+
+def test_stream_digest_constant_m1():
+    # the second-moment probe's law: m = 1 and an integer affine part;
+    # recorded with the two-pass kernel the fused descent replaced
+    g = simulate(100_000, 1, DeltaProfile.constant(2.0), 20261)
+    digest = hashlib.sha256(g.targets.astype("<i8").tobytes()).hexdigest()
+    assert digest == "11f5fa2f776d96e003880249daddf4f0c58323975977c601923976ed7d64d459"
+
+
+# (n, m, k0, k1, tau, seed, draws that reach the guard), delta = -m + k/30
+GUARD_CASES = [
+    (40, 1, 22, 22, 40, 5, [3, 8]),  # constant -4/15
+    (40, 2, 5, 5, 40, 0, [14, 26, 56]),  # constant -11/6
+    (40, 2, 5, 70, 12, 0, [14, 26, 56]),  # -11/6 -> 1/3: guards before and after tau
+    (40, 3, 41, 170, 8, 0, [0, 40, 84]),  # -49/30 -> 8/3: a guard at t = 2
+    (40, 3, 170, 41, 16, 0, [10, 11, 40]),  # 8/3 -> -49/30: two guards in one arrival
+    (15, 3, 170, 170, 15, 3, [9, 39]),  # constant 8/3: a guard at t = n
+]
+
+
+@pytest.mark.parametrize("case", GUARD_CASES, ids=lambda c: "n{}-m{}-k{}-{}-tau{}".format(*c))
+def test_guard_repair_keeps_the_stream(case):
+    # u = nextafter(1, 0) on about 30 % of the draws sends some descents past
+    # the pool, where the closed-form total exceeds the tree's in its last
+    # bit; a hit repaired onto the wrong path shows only in later draws
+    n, m, k0, k1, tau, seed, guarded = case
+    d0, d1 = -m + k0 / 30, -m + k1 / 30
+    rng = np.random.default_rng(seed)
+    u = rng.random((n - 1) * m)
+    u[rng.random(len(u)) < 0.3] = np.nextafter(1.0, 0.0)
+    expected, fired = attach_kernel_two_pass(n, m, d0, d1, tau, u)
+    assert fired == guarded and guarded[-1] < len(u) - 1
+    assert np.array_equal(attach_kernel_float_tree(n, m, d0, d1, tau, u), expected)
+    assert np.array_equal(_attach_kernel(n, m, d0, d1, tau, u), expected)
 
 
 def test_empirical_law_matches_likelihood_chisquare():
