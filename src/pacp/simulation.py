@@ -53,7 +53,7 @@ class DeltaProfile:
 
     @classmethod
     def step(cls, delta0: float, delta1: float, tau: int) -> "DeltaProfile":
-        return cls(float(delta0), float(delta1), int(tau))
+        return cls(float(delta0), float(delta1), tau)
 
     @property
     def is_step(self) -> bool:

@@ -4,6 +4,7 @@ import os
 import subprocess
 from pathlib import Path
 import sys
+import time
 
 import pytest
 
@@ -70,6 +71,18 @@ def test_theory_fields(capsys):
     assert res["p"]["2"] == pytest.approx(1 / 6)
     for key in ("ell_inf_0", "ell_inf_1", "nu0", "nu1"):
         assert res[key] > 0
+
+
+def test_theory_past_the_series_limit_fails_fast(capsys):
+    # delta1 = 1e9 needs more than 1e8 series terms at the far endpoint: the
+    # rate refuses before summing any node, as a structured DomainError
+    t0 = time.perf_counter()
+    code, payload = run_cli(
+        ["theory", "--m", "1", "--delta0", "0", "--delta1", "1e9", "--kmax", "5"], capsys
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and payload["error"]["type"] == "DomainError"
+    assert "1e8 series terms" in payload["error"]["message"]
 
 
 def test_mle_and_localize_single_graph(tmp_path, capsys):

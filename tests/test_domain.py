@@ -107,18 +107,19 @@ def test_reduction_alpha_must_be_finite_and_positive(graph):
             ReductionContext.build(graph, 6, 3, alpha, 0.0, 0.5)
 
 
-@pytest.mark.parametrize("tau", (2.5, 3.0, math.nan, "3"), ids=repr)
+@pytest.mark.parametrize("tau", (2.5, 3.0, math.inf, math.nan, "3"), ids=repr)
 def test_non_integer_tau_is_a_domain_error(tau, graph):
     # a non-integral tau never equals an arrival, so simulate would draw the
-    # constant law, and log_likelihood would fail slicing at any float tau
-    profile = DeltaProfile(0.0, 5.0, tau)
-    for call in (
-        lambda: profile.validate(8, M),
-        lambda: simulate(8, M, profile, 3),
-        lambda: log_likelihood(graph, profile),
-    ):
-        with pytest.raises(DomainError, match=r"^tau must be an integer, got "):
-            call()
+    # constant law, and log_likelihood would fail slicing at any float tau;
+    # DeltaProfile.step hands tau over unconverted, so 2.5 is not truncated to 2
+    for profile in (DeltaProfile(0.0, 5.0, tau), DeltaProfile.step(0.0, 5.0, tau)):
+        for call in (
+            lambda: profile.validate(8, M),
+            lambda: simulate(8, M, profile, 3),
+            lambda: log_likelihood(graph, profile),
+        ):
+            with pytest.raises(DomainError, match=r"^tau must be an integer, got "):
+                call()
 
 
 def test_numpy_integer_tau_passes():

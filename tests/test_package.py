@@ -48,9 +48,12 @@ def _cli_in_fresh_interpreter(argv, tmp_path):
 
 
 def test_cli_and_plugin_campaign_load_no_scipy(tmp_path):
-    # scipy.special costs most of a cold start; only the limit-law functions
-    # of theory may load it, on first call
+    # the package runs on numpy alone: scipy is a test dependency, and
+    # scipy.special would cost most of a cold start
     assert _cli_in_fresh_interpreter([], tmp_path) == {"code": 0, "scipy": []}
+    theory = ["theory", "--m", "1", "--delta0", "0", "--delta1", "2", "--out", "theory.json"]
+    assert _cli_in_fresh_interpreter(theory, tmp_path) == {"code": 0, "scipy": []}
+    assert json.loads((tmp_path / "theory.json").read_text())["result"]["ell_inf_1"] > 0
     campaign = ["test", "--mode", "plugin", "--n", "300", "--m", "1", "--tau", "200",
                 "--delta0", "0", "--delta1", "2", "--replicates", "4", "--seed", "5",
                 "--threads", "1", "--out", "summary.json", "--csv", "rows.csv"]

@@ -109,6 +109,102 @@ def test_rate_matches_monte_carlo_quick():
     assert abs(vals.mean() - l0) / l0 < 0.06
 
 
+def _mp_gap_m1(c):
+    """E[1/(X+c)] - 1/(2+c) at m=1, delta0=0, by partial fractions of
+    4/(k(k+1)(k+2)(k+c)) in digammas; c = 0, 1, 2 are removable points."""
+    import mpmath
+
+    coef = (2 / c, -4 / (c - 1), 2 / (c - 2), -4 / (c * (1 - c) * (2 - c)))
+    shift = (1, 2, 3, 1 + c)
+    return -sum(q * mpmath.digamma(s) for q, s in zip(coef, shift)) - 1 / (2 + c)
+
+
+def test_rate_matches_mpmath_gap_integral():
+    # the rate at m=1, delta0=0 as m/(2m+shift) times the integral of
+    # |y - shift| gap(y), by 40-digit tanh-sinh split at the removable points
+    # and at each decade, so that no panel spans more than a factor of 10
+    import mpmath
+
+    bad = []
+    for d1 in (1e-5, 0.5, 2.0, 1e3, 1e6):
+        for hyp in ("H0", "H1"):
+            with mpmath.workdps(40):
+                shift = mpmath.mpf(0.0 if hyp == "H0" else d1)
+                cuts = [0.0] + [c for c in (1.0, 2.0) if c < d1]
+                cuts += [10.0**j for j in range(1, 7) if 10.0**j < d1] + [d1]
+                ref = mpmath.quad(lambda y: abs(y - shift) * _mp_gap_m1(y), cuts) / (2 + shift)
+            rate = limit_loglr_rate(0.0, d1, 1, hyp).value
+            if not abs(rate - ref) <= 1e-13 * ref:
+                bad.append((d1, hyp, float(abs(rate / ref - 1))))
+    assert bad == []
+
+
+def _mp_rate_series(d0, d1, m, hyp):
+    """The rate from its defining series at 40 digits: the direct sum of
+    p_k (c - x log(1 + c/x)) to K = max(2000, 4|c|), then ``mpmath.sumem``."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        d0, d1 = mpmath.mpf(d0), mpmath.mpf(d1)
+        r = d0 / m
+        shift, c = (d0, d1 - d0) if hyp == "H0" else (d1, d0 - d1)
+        log_c = mpmath.log(2 + r) + mpmath.loggamma(m + 2 + d0 + r) - mpmath.loggamma(m + d0)
+
+        def term(k):
+            p = mpmath.exp(log_c + mpmath.loggamma(k + d0) - mpmath.loggamma(k + 3 + d0 + r))
+            return p * (c - (k + shift) * mpmath.log1p(c / (k + shift)))
+
+        big_k = int(max(2000, 4 * abs(c)))
+        series = mpmath.fsum(term(k) for k in range(m, big_k)) + mpmath.sumem(term, [big_k, mpmath.inf])
+        anchor = (2 * m + shift) * mpmath.log1p(c / (2 * m + shift))
+        return (anchor - c + series) * m / (2 * m + shift)
+
+
+def test_rate_matches_mpmath_series():
+    bad = []
+    for d0, d1, m in ((-0.9, 2.0, 1), (0.0, 50.0, 3)):
+        for hyp in ("H0", "H1"):
+            ref = _mp_rate_series(d0, d1, m, hyp)
+            rate = limit_loglr_rate(d0, d1, m, hyp).value
+            if not abs(rate - ref) <= 1e-13 * ref:
+                bad.append((d0, d1, m, hyp, float(abs(rate / ref - 1))))
+    assert bad == []
+
+
+def test_pmf_exact_form_to_a_billion():
+    k = np.array([1, 2, 3, 10, 1e3, 1e5, 1e6, 1e7, 1e8, 1e9])
+    exact = 4 / (k * (k + 1) * (k + 2))
+    assert np.abs(limit_degree_pmf(k, 1, 0.0) / exact - 1).max() <= 1e-13
+
+
+def test_pmf_matches_mpmath_loggamma():
+    # p_k is exp of a difference of log-gamma ratios of size about
+    # h log(k+delta+h), h = 3 + delta/m, so each rounding there costs that
+    # many ulps of p_k: 1e-15 per unit of that size, and at least 1e-14
+    import mpmath
+
+    bad = []
+    for m in (1, 2, 3):
+        for delta in (-0.9 * m, 0.0, 2.0, 50.0, 1e3):
+            ks = np.array([m, m + 1, m + 4, 20, 300, 1e4, 1e6, 1e9])
+            h = 3 + delta / m
+            for k, p in zip(ks, limit_degree_pmf(ks, m, delta)):
+                with mpmath.workdps(40):
+                    d, r = mpmath.mpf(delta), mpmath.mpf(delta) / m
+                    ref = mpmath.exp(
+                        mpmath.log(2 + r) + mpmath.loggamma(m + 2 + d + r) - mpmath.loggamma(m + d)
+                        + mpmath.loggamma(k + d) - mpmath.loggamma(k + 3 + d + r)
+                    )
+                tol = max(1e-14, 1e-15 * h * math.log(k + delta + h))
+                if ref < 1e-300:  # underflows as a double
+                    ok = p < 1e-300
+                else:
+                    ok = abs(p - ref) <= tol * ref
+                if not ok:
+                    bad.append((m, delta, float(k), float(abs(p / ref - 1))))
+    assert bad == []
+
+
 def test_variance_positive_and_nu0_ignores_delta1():
     rng = np.random.default_rng(25)
     for _ in range(20):
@@ -184,13 +280,9 @@ def test_variance_positive_and_exact_up_to_delta_max():
 
     for d1 in (1e3, 1e4, 1e5, DELTA_MAX):
         assert asymptotic_variance(1, 0.0, d1, 3).value > 0
-        # m=1, delta0=0: partial fractions of 4/(k(k+1)(k+2)(k+c)) in digammas
         with mpmath.workdps(40):
             c = mpmath.mpf(d1)
-            coef = (2 / c, -4 / (c - 1), 2 / (c - 2), -4 / (c * (1 - c) * (2 - c)))
-            shift = (1, 2, 3, 1 + c)
-            mean = -sum(q * mpmath.digamma(s) for q, s in zip(coef, shift))
-            exact = float((mean - 1 / (2 + c)) / (2 + c))
+            exact = float(_mp_gap_m1(c) / (2 + c))
         assert asymptotic_variance(1, 0.0, d1, 1).value == pytest.approx(exact, rel=1e-13)
     with pytest.raises(DomainError):
         asymptotic_variance(1, 0.0, 1e9, 1)  # past 1e8 head terms
