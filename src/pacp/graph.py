@@ -379,11 +379,20 @@ def _tokenize_block(b: np.ndarray):
     if tok[-1]:
         edges = np.concatenate((edges, [len(b)]))
     starts, ends = edges[0::2], edges[1::2]
-    # The first token of a line is the first token after some line break.
-    is_first = np.zeros(len(starts) + 1, dtype=bool)
-    is_first[0] = True
-    is_first[np.searchsorted(starts, np.flatnonzero(breaks))] = True
-    first = np.flatnonzero(is_first[:-1])
+    # The first token of a line is the first token after some line break:
+    # the block's first token, and every later one whose gap from the token
+    # before holds a break.  A one-byte gap is the byte before the token;
+    # only the wider gaps are searched.
+    before = b[starts[1:] - 1]
+    is_first = np.empty(len(starts), dtype=bool)
+    is_first[:1] = True
+    np.logical_or(before == 10, before == 13, out=is_first[1:])
+    wide = np.flatnonzero(starts[1:] - ends[:-1] > 1)
+    if len(wide):
+        at = np.flatnonzero(breaks)
+        hit = np.searchsorted(at, starts[wide + 1]) > np.searchsorted(at, ends[wide])
+        is_first[wide[hit] + 1] = True
+    first = np.flatnonzero(is_first)
 
     # Malformed: a byte other than a digit or a sign, a sign anywhere but
     # before a token's first digit, or a token too long to hold.
@@ -541,8 +550,8 @@ def substep_degrees(g: AttachmentLog, t_lo: int = 2) -> np.ndarray:
     Returns, for every sub-step (t, i) with t in [t_lo, n] in order, the degree
     of the chosen target just before the edge was added.  Only the L edges
     from arrival ``t_lo`` on are read: they are ranked by one sort of the
-    integer keys ``target * L + position``, so the edges that hit one target
-    form a run of slots in attachment order.  A target hit h times in that
+    integer keys ``target << b | position`` (positions below 2**b), so the
+    edges that hit one target form a run of slots in attachment order.  A target hit h times in that
     run had its final degree minus h before the run's first edge (``m`` for
     a vertex born at or after ``t_lo``), and each later edge of the run saw
     one more.
@@ -551,14 +560,16 @@ def substep_degrees(g: AttachmentLog, t_lo: int = 2) -> np.ndarray:
         raise ValueError(f"t_lo {t_lo} out of range 2..{g.n + 1}")
     tl = g.targets[(t_lo - 2) * g.m :]
     size = len(tl)
-    # Targets are below n and positions below L, so every key is below
-    # n*L <= n*n*m: that stays under 2**63 for every log whose targets array
-    # is smaller than 24 GB (n*m < 3e9 edges at m = 1, more at larger m).
-    keys = np.multiply(tl, size)
-    keys += np.arange(size, dtype=np.int64)
+    # Targets are below n and positions below L <= 2**b < 2L, so every key
+    # is below 2nL <= 2n*n*m: that stays under 2**63 for every log whose
+    # targets array is smaller than 16 GB (n*m < 2e9 edges at m = 1, more
+    # at larger m).
+    bits = max(size - 1, 1).bit_length()
+    keys = np.left_shift(tl, bits)
+    keys |= np.arange(size, dtype=np.int64)
     keys.sort()
-    position = keys % size
-    np.floor_divide(keys, size, out=keys)  # sorted targets
+    position = keys & ((1 << bits) - 1)
+    np.right_shift(keys, bits, out=keys)  # sorted targets
     run, hits = _runs(keys)
     # degree before the run's first edge, minus that edge's slot
     base = g._final_degrees()[keys[run]]

@@ -116,30 +116,78 @@ def event_bn(ctx: ReductionContext) -> bool:
     return ctx.bold.size >= threshold and ctx.r == ctx.width
 
 
+def _tilt(log_values: np.ndarray, r: int) -> float:
+    """A shift s with sum_i sigma(x_i - s) within 1/4 of r, sigma the
+    logistic function, for 0 < r < k: Newton's method in s, kept inside a
+    bracket that it bisects when a step would leave it."""
+    k = len(log_values)
+    lo = float(log_values.min()) - math.log(k) - 1.0  # every sigma > k/(k+1)
+    hi = float(log_values.max()) + math.log(k) + 1.0  # every sigma < 1/(k+1)
+    s = float(np.partition(log_values, k - r)[k - r])  # the r-th largest
+    for _ in range(200):
+        th = np.tanh(0.5 * (log_values - s))  # sigma = (1 + th)/2
+        excess = 0.5 * (k + float(th.sum())) - r
+        if abs(excess) <= 0.25:
+            break
+        if excess > 0:
+            lo = s
+        else:
+            hi = s
+        slope = 0.25 * (k - float(th @ th))  # sum sigma (1 - sigma)
+        s = s + excess / slope if slope > 0 else lo
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+    return s
+
+
 def log_esp(log_values: np.ndarray, r: int) -> float:
     """log of the order-r elementary symmetric polynomial of positive values.
 
-    Values are pre-scaled by their geometric mean (exponent tracked apart) and
-    the running table is renormalized whenever it grows too large, so the
-    result stays finite far beyond the naive overflow point.
+    e_r(w) is the z^r coefficient of prod_i (1 + w_i z).  The product is
+    multiplied out as a tree truncated at degree r: rows of polynomials are
+    multiplied in pairs, level by level, vectorised across all pairs while
+    the pairs outnumber the row length and one ``np.convolve`` per pair above
+    that.  The values are first scaled by e^-s, with s chosen so that
+    independent events of odds w_i e^-s have r expected successes
+    (``_tilt``); e_r is then within a factor of about k of the product's
+    largest coefficient, so none of the coefficients it is summed from
+    underflows.  Before each product every row is scaled by the power of
+    two that puts its largest coefficient in [1/2, 1), which is exact, with
+    the exponent tracked per row, so no product overflows.
     """
     k = len(log_values)
     if not 0 <= r <= k:
         raise ValueError(f"order {r} out of range 0..{k}")
     if r == 0:
         return 0.0
-    mu = float(log_values.mean())
-    w = np.exp(log_values - mu)
-    e = np.zeros(r + 1, dtype=np.float64)
-    e[0] = 1.0
-    shift = 0.0
-    for x in w.tolist():
-        e[1:] = e[1:] + x * e[:-1]
-        top = e.max()
-        if top > 1e250:
-            e /= top
-            shift += math.log(top)
-    return math.log(e[r]) + shift + r * mu
+    if r == k:
+        return math.fsum(log_values.tolist())
+    s = _tilt(log_values, r)
+    rows = np.empty((k, 2), dtype=np.float64)
+    rows[:, 0] = 1.0
+    rows[:, 1] = np.exp(log_values - s)
+    exps = np.zeros(k, dtype=np.int64)
+    while len(rows) > 1:
+        if len(rows) % 2:  # pair the odd row with the polynomial 1
+            one = np.zeros((1, rows.shape[1]))
+            one[0, 0] = 1.0
+            rows = np.concatenate((rows, one))
+            exps = np.append(exps, 0)
+        top = np.frexp(rows.max(axis=1))[1]
+        rows = np.ldexp(rows, -top[:, None])
+        exps = exps + top
+        a, b = rows[0::2], rows[1::2]
+        pairs, width = a.shape
+        size = min(2 * width - 1, r + 1)
+        if pairs > width:
+            rows = np.zeros((pairs, size))
+            for i in range(width):  # size >= width: rows never exceed r + 1
+                span = min(width, size - i)
+                rows[:, i : i + span] += a[:, i, None] * b[:, :span]
+        else:
+            rows = np.array([np.convolve(x, y)[:size] for x, y in zip(a, b)])
+        exps = exps[0::2] + exps[1::2]
+    return math.log(rows[0, r]) + float(exps[0]) * math.log(2.0) + r * s
 
 
 def _log_binom(k: int, r: int) -> float:

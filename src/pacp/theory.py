@@ -2,7 +2,8 @@
 estimator variance scales, and the exact finite-n degree-moment recursions.
 
 numpy only.  The degree pmf is p_m exp(R(k+delta) - R(m+delta)), with
-R(x) = log Gamma(x)/Gamma(x+h) from a Stirling split (no Gamma is formed).
+R(x) = log Gamma(x)/Gamma(x+h) from a Stirling split (no Gamma is formed)
+and the step in R formed directly, not as a difference of two values.
 Every series over the degree law is one method, the Jensen gap
 E[1/(X+c)] - 1/(2m+c) (``_jensen_gap``): a short head by the ratio recurrence
 p_{k+1}/p_k plus a telescoped closed-form tail, with a certified remainder.
@@ -40,18 +41,52 @@ __all__ = [
 _BINET = (-3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260, -1 / 360, 1 / 12)
 
 
-def _log_gamma_ratio(x, h: float):
-    """R(x) = log Gamma(x)/Gamma(x+h) elementwise for x > 0.  Below 16, x is
-    lifted by Gamma(x) = Gamma(x+16) / prod_{i<16} (x+i); from 16 on, the
-    Stirling split -(x-1/2) log1p(h/x) - h log(x+h) + h + mu(x) - mu(x+h)."""
+def _binet(y):
+    """Binet's mu(y) for y >= 16."""
+    return np.polyval(_BINET, 1.0 / (y * y)) / y
+
+
+def _lift(x, h: float):
+    """(X, lift, low): X is x + 16 where x < 16 (low) and x elsewhere, and
+    lift is the log of the Gamma ratio's lifting factor prod_{i<16}
+    (1 + h/(x+i)) where low, 0 elsewhere."""
     x = np.array(x, dtype=np.float64)
-    lift = np.zeros_like(x)
     low = x < 16.0
+    lift = np.zeros_like(x)
     if low.any():
         lift[low] = np.log1p(h / (x[low][:, None] + np.arange(16.0))).sum(axis=1)
-        x[low] += 16.0
-    mu = np.polyval(_BINET, 1.0 / (x * x)) / x - np.polyval(_BINET, 1.0 / (x + h) ** 2) / (x + h)
-    return lift - (x - 0.5) * np.log1p(h / x) - h * np.log(x + h) + h + mu
+    return np.where(low, x + 16.0, x), lift, low
+
+
+def _log_gamma_ratio_step(x0: float, u, h: float):
+    """R(x0 + u) - R(x0) elementwise for x0 > 0 and u >= 0, where
+    R(x) = log Gamma(x)/Gamma(x+h).
+
+    Below 16, x is lifted by Gamma(x) = Gamma(x+16) / prod_{i<16} (x+i).
+    From 16 on, R(y) = -(y-1/2) log1p(h/y) - h log(y+h) + h + mu(y) - mu(y+h)
+    (Stirling with Binet's mu).  Between the lifted X and X0, v = X - X0, the
+    step's Stirling part is -(X-1/2) log1p(h/X) + (X0-1/2) log1p(h/X0) -
+    h log1p(v/(X0+h)), whose parts are each about h.  Up to v = X0 the step
+    can be much smaller than h, and the same part is formed as
+    -v log1p(h/X) - (X0-1/2+h) log1p(v/(X0+h)) + (X0-1/2) log1p(v/X0),
+    whose parts are each about as large as the step.
+    """
+    shape = np.shape(u)
+    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    big, lift, low = _lift(x0 + u, h)
+    b0, lift0, low0 = (float(a) for a in _lift(x0, h))
+    v = u + 16.0 * (low - low0)
+    log_h = np.log1p(h / big)
+    log_v = np.log1p(v / (b0 + h))
+    stirling = (b0 - 0.5) * math.log1p(h / b0) - (big - 0.5) * log_h - h * log_v
+    near = v <= b0
+    if near.any():
+        w = v[near]
+        stirling[near] = (
+            (b0 - 0.5) * np.log1p(w / b0) - w * log_h[near] - (b0 - 0.5 + h) * log_v[near]
+        )
+    mu = (_binet(big) - _binet(b0)) - (_binet(big + h) - _binet(b0 + h))
+    return (lift - lift0 + stirling + mu).reshape(shape)
 
 
 def limit_degree_pmf(k, m: int, delta: float):
@@ -59,15 +94,16 @@ def limit_degree_pmf(k, m: int, delta: float):
 
     p_k = (2 + d/m) * Gamma(k+d) Gamma(m+2+d+d/m) / [Gamma(m+d) Gamma(k+3+d+d/m)],
     defined for k >= m, as p_m exp(R(k+d) - R(m+d)) with the closed form
-    p_m = (2+d/m)/(m+2+d+d/m) and R = ``_log_gamma_ratio`` at h = 3 + d/m.
-    Accepts scalar or array k.
+    p_m = (2+d/m)/(m+2+d+d/m) and R = log Gamma(x)/Gamma(x+h) at h = 3 + d/m,
+    its step from m+d formed directly (``_log_gamma_ratio_step``).  Accepts
+    scalar or array k.
     """
     check_domain(m, delta=delta)
     karr = np.asarray(k, dtype=np.float64)
     if (karr < m).any():
         raise DomainError(f"degree law starts at k = m = {m}")
     r = delta / m
-    logp = _log_gamma_ratio(karr + delta, 3.0 + r) - _log_gamma_ratio(m + delta, 3.0 + r)
+    logp = _log_gamma_ratio_step(m + delta, karr - m, 3.0 + r)
     out = (2.0 + r) / (m + 2.0 + delta + r) * np.exp(logp)
     return float(out) if np.isscalar(k) or karr.ndim == 0 else out
 

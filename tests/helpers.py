@@ -7,8 +7,11 @@ hit-count sampler that reports its guard draws, the Brent
 window root-finder that the Newton polish replaced, the per-edge
 arrival log weights and sort-every-row multiplicity sum that the per-degree
 tables replaced, the whole-log degree layers that the cached final degrees
-replaced, the in-degrees split at an arrival, and the gammaln histogram
-numerator that the tail-count blocks replaced."""
+replaced, the in-degrees split at an arrival, the gammaln histogram
+numerator that the tail-count blocks replaced, the grid normalizer sum and
+the sequential elementary-symmetric loop that the power-sum table and the
+product tree replaced, a log-space elementary-symmetric recursion, and the
+line-start search that the one-byte-gap rule replaced."""
 
 import itertools
 import math
@@ -541,3 +544,63 @@ def degree_moment_by_arrival(u, t, m, delta0):
         xi = xi * alpha_j
         gamma_prod *= gamma_j
     return xi, kappa, gamma_prod
+
+
+# The forms before the power-sum normalizer, the product tree and the
+# one-byte-gap line starts, kept as their oracles.
+
+def log_s_sum_grid(t_lo, t_hi, delta, m):
+    """Sum of log S = log((2m+d)t - 2m + i) over the sub-steps of arrivals
+    t_lo..t_hi (from 2 on), one log per sub-step."""
+    t = np.arange(max(t_lo, 2), t_hi + 1, dtype=np.float64)
+    grid = ((2 * m + delta) * t - 2 * m)[:, None] + np.arange(m, dtype=np.float64)[None, :]
+    return float(np.log(grid).sum())
+
+
+def log_esp_loop(log_values, r):
+    """log e_r of exp(log_values) by the sequential recursion
+    e_j += w e_{j-1}, one Python iteration per value, the values scaled by
+    their geometric mean and the table renormalized past 1e250.  It loses
+    the low orders once the values spread by more than about 30 in log."""
+    k = len(log_values)
+    if not 0 <= r <= k:
+        raise ValueError(f"order {r} out of range 0..{k}")
+    if r == 0:
+        return 0.0
+    mu = float(log_values.mean())
+    w = np.exp(log_values - mu)
+    e = np.zeros(r + 1, dtype=np.float64)
+    e[0] = 1.0
+    shift = 0.0
+    for x in w.tolist():
+        e[1:] = e[1:] + x * e[:-1]
+        top = e.max()
+        if top > 1e250:
+            e /= top
+            shift += math.log(top)
+    return math.log(e[r]) + shift + r * mu
+
+
+def log_esp_log_space(log_values, r):
+    """log e_r of exp(log_values) by the same recursion held in logs,
+    log e_j = logaddexp(log e_j, x + log e_{j-1}): nothing overflows or
+    underflows at any spread."""
+    le = np.full(r + 1, -np.inf)
+    le[0] = 0.0
+    for x in np.asarray(log_values, dtype=np.float64).tolist():
+        le[1:] = np.logaddexp(le[1:], x + le[:-1])
+    return float(le[r])
+
+
+def line_first_tokens_searchsorted(b):
+    """Index of each line's first token in a block of whole lines that
+    starts at a line start: the first token after every line break, found
+    by one search per break."""
+    breaks = (b == 10) | (b == 13)
+    tok = ~(breaks | (b == 32) | (b == 9))
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], tok, [False])).astype(np.int8)))
+    starts = edges[0::2]
+    is_first = np.zeros(len(starts) + 1, dtype=bool)
+    is_first[0] = True
+    is_first[np.searchsorted(starts, np.flatnonzero(breaks))] = True
+    return np.flatnonzero(is_first[: len(starts)])

@@ -1,5 +1,6 @@
 import gc
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -26,7 +27,7 @@ from pacp.errors import (
     TargetTooLarge,
     WrongOutDegree,
 )
-from pacp.graph import _format_rows, _tokenize, substep_degrees, window_tail_diff
+from pacp.graph import _format_rows, _tokenize, _tokenize_block, substep_degrees, window_tail_diff
 from pacp.reduction import kernel_sample
 
 from helpers import (
@@ -35,6 +36,7 @@ from helpers import (
     bold_vertices_whole_log,
     degrees_by_prefix_bincount,
     format_palog_by_line,
+    line_first_tokens_searchsorted,
     parse_palog_by_line,
     replay_substep_degrees,
     substep_degrees_from_prefix,
@@ -301,6 +303,78 @@ def test_tokenize_reads_every_digit_count():
     _, _, bad, values = _tokenize(("\n" + " ".join(tokens) + "\n").encode(), 0)
     assert not bad.any()
     assert values.tolist() == [int(t) for t in tokens]
+
+
+def _first_tokens(text):
+    """Line starts of the arrival lines of PALOG text: the tokenizer's, and
+    the old search's, from the header's line break on."""
+    data = text.encode()
+    brk = re.search(rb"[\r\n]", data)
+    if brk is None:  # the header alone: no block to tokenize
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    b = np.frombuffer(data, dtype=np.uint8)[brk.start() :]
+    return _tokenize_block(b)[1], line_first_tokens_searchsorted(b)
+
+
+# Layouts other than the canonical one-space, one-LF form: every gap that is
+# not one byte goes through the search, and a sign right after a wide gap is
+# still a well-formed token's first byte.
+_LAYOUTS = [
+    "PALOG v1 n=4 m=2\r\n2 0 1\r\n3 2 0\r\n4 1 3\r\n",
+    "PALOG v1 n=4 m=2\n2\t0\t1\n3 \t2\t 0\n4\t\t1 3\n",
+    "PALOG v1 n=4 m=2\n2   0    1\n3 2     0\n4 1   3\n",
+    "PALOG v1 n=4 m=2\n\n2 0 1\n\n\n3 2 0\n \t \n4 1 3\n\n",
+    "PALOG v1 n=4 m=2\n2 0 1 \n3 2 0\t\n4 1 3  \t\n  \n",
+    "PALOG v1 n=4 m=2\n  +2 0   +1\n\t+3  +2 0\r\n\r\n  +4 \t+1 3",
+    "PALOG v1 n=4 m=2\r2 0 1\r\r3 2 0\r \r4 1 3\r",
+]
+
+
+@pytest.mark.parametrize("text", _LAYOUTS)
+def test_palog_line_starts_on_noncanonical_layouts(text):
+    first, oracle = _first_tokens(text)
+    assert first.tolist() == oracle.tolist() == [0, 3, 6]
+    want = from_rows(4, 2, {2: [0, 1], 3: [2, 0], 4: [1, 3]})
+    assert parse_palog(text) == parse_palog_by_line(text) == want
+
+
+def test_palog_errors_name_the_first_offending_line_after_wide_gaps():
+    with pytest.raises(PalogError, match=re.escape(r"unparsable arrival line: '3\t2\tx'")):
+        parse_palog("PALOG v1 n=3 m=1\r\n\r\n  2  0\r\n\r\n3\t2\tx\r\n")
+    with pytest.raises(MissingRow, match="arrival line 4 where 3 was expected"):
+        parse_palog("PALOG v1 n=3 m=1\n\n  2 \t 0 \n \n  4 \t 0\n")
+    with pytest.raises(WrongOutDegree, match="arrival 3 has 2 targets, expected 1"):
+        parse_palog("PALOG v1 n=3 m=1\r\n2   0\r\n\t3  0   1\r\n")
+
+
+@st.composite
+def spaced_palog(draw):
+    """A log's PALOG text with random separators: runs of spaces and tabs
+    between tokens, LF, CRLF or CR line ends, blank lines, leading and
+    trailing blanks, and optional "+" signs."""
+    g = draw(attachment_logs())
+    blank = st.text(alphabet=" \t", max_size=3)
+    gap = st.text(alphabet=" \t", min_size=1, max_size=3)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [f"PALOG v1 n={g.n} m={g.m}"]
+    for t in range(2, g.n + 1):
+        tokens = [str(t)] + [str(v) for v in g.row(t).tolist()]
+        tokens = [draw(st.sampled_from(["", "+"])) + tok for tok in tokens]
+        body = tokens[0]
+        for tok in tokens[1:]:
+            body += draw(gap) + tok
+        lines += [draw(blank) for _ in range(draw(st.integers(0, 2)))]
+        lines.append(draw(blank) + body + draw(blank))
+    return g, end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@given(spaced_palog())
+def test_palog_round_trip_with_random_separators(case):
+    g, text = case
+    first, oracle = _first_tokens(text)
+    assert first.tolist() == oracle.tolist()
+    assert len(first) == g.n - 1
+    assert parse_palog(text) == g
 
 
 def _line(draw, lines):

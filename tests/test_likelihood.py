@@ -8,14 +8,18 @@ from hypothesis import strategies as st
 
 from pacp import AttachmentLog, DeltaProfile, apply_permutation, bold_vertices, from_rows, simulate
 from pacp.errors import DomainError
+from pacp.inference import DELTA_MAX
 from pacp.likelihood import (
     LogLik,
     _log_mult_sum,
     _log_s_ratio,
     _log_s_rows,
+    _powers_table,
+    _window_powers,
     arrival_log_weights,
     log_likelihood,
     log_lr,
+    log_s_sum,
     s_product_ratio,
     s_value,
 )
@@ -26,6 +30,7 @@ from helpers import (
     count_support,
     log_mult_sum_sort_rows,
     log_numerator_gammaln,
+    log_s_sum_grid,
     split_in_degrees,
     support_graphs,
 )
@@ -314,3 +319,52 @@ def test_normalizer_ratios_against_mpmath():
             rows = _log_s_rows(2, 200, d0, d1, m)
             for row, want in zip(rows, _mp_log_s_rows(2, 200, d1, d0, m)):
                 assert abs(row - want) <= 4 * eps * abs(want), (d0, d1, m)
+
+
+def test_log_s_sum_against_mpmath():
+    # Windows of length 1 to 100: head only (t < 64), across the head/series
+    # split at T0 = 64, and series only, up to arrival 1e6.  Near the guard
+    # some head totals are close to 0 or to 1, and the sum must still hold
+    # its relative accuracy against a 40-digit sum.
+    windows = [
+        (1, 1), (2, 2), (3, 3), (2, 9), (5, 11), (2, 63), (1, 100), (40, 139),
+        (60, 70), (63, 64), (64, 64), (1000, 1099), (99_901, 100_000), (10**6, 10**6),
+    ]
+    with mpmath.workdps(40):
+        for m in (1, 2, 3):
+            for delta in (-m + 1e-9, 0.0, 2.0, 50.0, DELTA_MAX):
+                d = mpmath.mpf(delta)
+                for lo, hi in windows:
+                    exact = mpmath.fsum(
+                        mpmath.log((2 * m + d) * t - 2 * m + i)
+                        for t in range(max(lo, 2), hi + 1)
+                        for i in range(m)
+                    )
+                    got = log_s_sum(lo, hi, delta, m)
+                    assert abs(got - exact) <= 1e-15 * abs(exact), (lo, hi, delta, m)
+
+
+def test_log_s_sum_matches_grid_oracle():
+    rng = np.random.default_rng(2020)
+    for _ in range(200):
+        m = int(rng.integers(1, 6))
+        lo = int(rng.integers(1, 3000))
+        hi = lo + int(rng.integers(-1, 500))
+        delta = float(rng.uniform(-0.9 * m, 10.0))
+        want = log_s_sum_grid(lo, hi, delta, m)
+        assert log_s_sum(lo, hi, delta, m) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+def test_whole_log_and_from_two_windows_share_one_table():
+    # log_likelihood prices the whole log as the window (1, n) and
+    # localize_tau the per-arrival rows of (2, n): arrival 1 has no
+    # sub-step, so both read one cached table.
+    n, m = 5000, 2
+    g = simulate(n, m, DeltaProfile.constant(0.5), 20)
+    _powers_table.cache_clear()
+    assert _window_powers(1, n, m) is _window_powers(2, n, m)
+    _powers_table.cache_clear()
+    log_likelihood(g, DeltaProfile.constant(0.5))
+    _log_s_rows(2, n, 0.5, 1.5, m)
+    info = _powers_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pacp import DeltaProfile, bold_vertices, from_rows, simulate
 from pacp.errors import PreconditionViolated, UnsupportedRegime
@@ -22,7 +24,7 @@ from pacp.reduction import (
     second_moment_probe,
 )
 
-from helpers import brute_force_permuted_lr, chi2_gof_pvalue
+from helpers import brute_force_permuted_lr, chi2_gof_pvalue, log_esp_log_space, log_esp_loop
 
 
 def test_kernel_identity_when_no_bold_vertices():
@@ -147,6 +149,54 @@ def test_log_esp_renormalization_large():
     lw = np.full(5000, 200.0)  # raw e_r would overflow immediately
     got = log_esp(lw, 100)
     want = math.lgamma(5001) - math.lgamma(101) - math.lgamma(4901) + 100 * 200.0
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@st.composite
+def log_value_sets(draw, spread_max):
+    """(log values, r): k <= 300 values around a centre in [-300, 300],
+    spread up to +-spread_max, drawn uniformly, sorted (the small ones
+    multiplied first) or at two levels."""
+    k = draw(st.integers(1, 300))
+    r = draw(st.integers(0, k))
+    centre = draw(st.floats(-300.0, 300.0))
+    spread = draw(st.floats(0.0, spread_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-spread, spread, k)
+    layout = draw(st.sampled_from(["uniform", "sorted", "two levels"]))
+    if layout == "sorted":
+        values.sort()
+    elif layout == "two levels":
+        values = np.where(values < 0, -spread, spread)
+    return centre + values, r
+
+
+@given(log_value_sets(spread_max=10.0))
+def test_log_esp_matches_sequential_loop(case):
+    # The loop renormalizes its whole table at once, so it stays exact only
+    # while the values spread by less than about 30 in log (see the next test).
+    lw, r = case
+    want = log_esp_loop(lw, r)
+    assert log_esp(lw, r) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@given(log_value_sets(spread_max=300.0))
+def test_log_esp_matches_log_space_oracle(case):
+    # At spreads up to +-300 the loop returned NaN or lost up to a fifth of
+    # log e_r; the tree must stay finite and exact there.
+    lw, r = case
+    want = log_esp_log_space(lw, r)
+    got = log_esp(lw, r)
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_log_esp_binomial_needs_renormalization():
+    # e_2500 of 5000 ones is C(5000, 2500), about 1e1503: every row of more
+    # than about 1030 values would overflow without its power-of-two scaling.
+    got = log_esp(np.zeros(5000), 2500)
+    want = math.lgamma(5001) - 2 * math.lgamma(2501)
+    assert math.isfinite(got)
     assert got == pytest.approx(want, rel=1e-12)
 
 

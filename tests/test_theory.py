@@ -8,6 +8,7 @@ from pacp.errors import DomainError
 from pacp.theory import (
     DegreeLaw,
     _jensen_gap,
+    _log_gamma_ratio_step,
     asymptotic_variance,
     degree_moment,
     limit_degree_pmf,
@@ -203,6 +204,32 @@ def test_pmf_matches_mpmath_loggamma():
                 if not ok:
                     bad.append((m, delta, float(k), float(abs(p / ref - 1))))
     assert bad == []
+
+
+def test_pmf_log_gamma_step_at_large_delta_matches_mpmath():
+    # At delta = 1e3, m = 1 each log-gamma ratio R is about -7e3, so a
+    # difference of two R values erred by about 5e-13 in p_k near k = m.
+    # The step R(k+delta) - R(m+delta) is formed directly: it must hold
+    # 1e-14 of its own size, and p_k with it where its log is small.
+    import mpmath
+
+    m, delta = 1, 1e3
+    h = 3 + delta / m
+    ks = np.array([2.0, 5.0, 20.0, 1e3, 1e6])
+    steps = _log_gamma_ratio_step(m + delta, ks - m, h)
+    pmf = limit_degree_pmf(ks, m, delta)
+    with mpmath.workdps(40):
+        d = mpmath.mpf(delta)
+
+        def log_ratio(x):
+            return mpmath.loggamma(x) - mpmath.loggamma(x + h)
+
+        for k, step, p in zip(ks, steps, pmf):
+            want = log_ratio(k + d) - log_ratio(m + d)
+            assert abs(step - want) <= 1e-14 * abs(want), k
+            if k <= 20:
+                ref = (2 + d / m) / (m + 2 + d + d / m) * mpmath.exp(want)
+                assert abs(p - ref) <= 1e-14 * ref, k
 
 
 def test_variance_positive_and_nu0_ignores_delta1():
