@@ -26,7 +26,9 @@ sign, so no large sums cancel.
 ``log_s_sum`` is priced from the same table: log S = log A + log t +
 log(1 - a_i/(At)), so the series arrivals give m N log A + m sum log t -
 sum_j M_j P_j A^-j / j, with the sum of log t over them held in the table
-(to an ulp); head sub-steps are summed directly.
+(to an ulp); head sub-steps are summed directly.  The same table prices
+``theory.degree_moment``'s log-products sum log(1 + 1/(S + c)), c = 0, 1
+(``_log_growth``), through the same series loop.
 """
 
 from __future__ import annotations
@@ -62,13 +64,6 @@ def s_value(t: int, i: int, delta: float, m: int) -> float:
     return (2 * m + delta) * t - 2 * m + (i - 1)
 
 
-def _s_grid(t_lo: int, t_hi: int, delta: float, m: int) -> np.ndarray:
-    """Normalizing totals S = (2m+d)t - 2m + i of every sub-step of arrivals
-    t_lo..t_hi (from 2 on), one row of m per arrival; empty if none."""
-    t = np.arange(max(t_lo, 2), t_hi + 1, dtype=np.float64)
-    return ((2 * m + delta) * t - 2 * m)[:, None] + np.arange(m, dtype=np.float64)[None, :]
-
-
 def _log_degree(m: int, size: int, delta: float) -> np.ndarray:
     """log(k + delta) for the degrees k = m .. m + size - 1."""
     return np.log(np.arange(m, m + size, dtype=np.float64) + delta)
@@ -90,11 +85,36 @@ def log_s_sum(t_lo: int, t_hi: int, delta: float, m: int) -> float:
     if len(head) and w.head_t[0, 0] == 2 and 2.0 * (m + delta) < 0.5:
         head[0, 0] = math.log(2.0 * (m + delta))  # arrival 2's first sub-step
     a = 2 * m + delta
-    series, x = 0.0, 1.0
-    for j in range(1, len(w.p)):
-        x /= a
-        series += w.moments[j] * w.p[j] * x / j
+    series = _series_sum(w.p, w.moments, a)
     return math.fsum((float(head.sum()), m * w.p[0] * math.log(a), m * w.log_t, -series))
+
+
+def _series_sum(p, coeffs, a: float) -> float:
+    """sum_{j>=1} coeffs_j P_j a^-j / j over a window's series terms."""
+    series, x = 0.0, 1.0
+    for j in range(1, len(p)):
+        x /= a
+        series += coeffs[j] * p[j] * x / j
+    return series
+
+
+def _log_growth(t_lo: int, t_hi: int, delta: float, m: int, c: int) -> float:
+    """Sum of log(1 + 1/(S + c)) over the sub-steps of arrivals t_lo..t_hi
+    (from 2 on), for c = 0 or 1.
+
+    A head sub-step's S + c is (m+d)t + (m(t-2) + i + c), two non-negative
+    parts.  For a series arrival, log(1 + 1/(S+c)) = log(1 - (a_i-c-1)/(At))
+    - log(1 - (a_i-c)/(At)), so the series arrivals give sum_j D_j P_j A^-j / j
+    with D_j = sum_i (a_i-c)^j - (a_i-c-1)^j = (2m-c)^j - (m-c)^j (the sum
+    telescopes over a_i = m+1..2m): exact positive integers, so every term
+    is positive and nothing cancels.
+    """
+    if max(t_lo, 2) > t_hi:
+        return 0.0
+    w = _window_powers(t_lo, t_hi, m)
+    head = np.log1p(1.0 / ((m + delta) * w.head_t + (w.head_c + (1 + c))))
+    d = [float((2 * m - c) ** j - (m - c) ** j) for j in range(len(w.p))]
+    return math.fsum((float(head.sum()), _series_sum(w.p, d, 2 * m + delta)))
 
 
 def _log_mult_sum(g: AttachmentLog) -> float:

@@ -410,9 +410,10 @@ def event_bn_failure_probe(
 
 def azuma_rate(m: int, delta0: float, delta1: float) -> float:
     """Exponential rate c in the tail bound exp(-c width' x^2), derived from
-    the martingale increment bound 2 max(1, (m+d1)/(m+d0))^m."""
-    b = 2.0 * max(1.0, (m + delta1) / (m + delta0)) ** m
-    return 1.0 / (2.0 * b * b)
+    the martingale increment bound b = 2 max(1, (m+d1)/(m+d0))^m: c = 1/(2 b^2),
+    formed in logs, so a b past float range gives c = 0."""
+    log_ratio = max(0.0, math.log(m + delta1) - math.log(m + delta0))
+    return 0.125 * safe_exp(-2.0 * m * log_ratio)
 
 
 def _martingale_replicate(r, n, m, delta0, delta1, tau_prime, seed):
@@ -438,7 +439,9 @@ def martingale_tail_probe(
     its conditional mean, compared with exp(-c width' x^2) on a grid of x.
 
     The estimate is the fraction of grid points whose empirical frequency
-    exceeds the bound (0.0 means the bound held everywhere).
+    exceeds the bound (0.0 means the bound held everywhere).  The default
+    grid runs to the x where the bound is 1e-6; UnsupportedRegime if that x
+    is not finite (the rate c underflows, as at large m |log((m+d1)/(m+d0))|).
     """
     failures = []
     if tau_prime < 3:
@@ -451,7 +454,9 @@ def martingale_tail_probe(
         c = azuma_rate(m, delta0, delta1)
     width_prime = n - tau_prime
     if x_grid is None:
-        x_max = math.sqrt(math.log(1e6) / (c * width_prime))
+        x_max = math.sqrt(math.log(1e6) / (c * width_prime)) if c > 0 else math.inf
+        if not math.isfinite(x_max):
+            raise UnsupportedRegime(f"Azuma rate c = {c} gives no finite default x grid")
         x_grid = np.linspace(0.0, x_max, 201)
     x_grid = np.asarray(x_grid, dtype=np.float64)
     mn = mean_weight_mn(tau_prime, n, delta0, delta1, m).value

@@ -528,8 +528,8 @@ def log_numerator_gammaln(g, profile):
 
 def degree_moment_by_arrival(u, t, m, delta0):
     """(xi, kappa, gamma_prod) of ``theory.degree_moment`` by the backward
-    per-arrival recursion with an inner loop over sub-steps: the form before
-    the forward cumulative products, kept as their oracle."""
+    per-arrival recursion with an inner loop over sub-steps, kept as the
+    oracle of its rising-factorial products."""
     xi, kappa, gamma_prod = 1.0, 0.0, 1.0
     for j in range(t, max(1, u), -1):
         s = (2.0 * m + delta0) * j - 2.0 * m + np.arange(m, dtype=np.float64)

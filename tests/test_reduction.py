@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pacp import DeltaProfile, bold_vertices, from_rows, simulate
@@ -153,14 +153,15 @@ def test_log_esp_renormalization_large():
 
 
 @st.composite
-def log_value_sets(draw, spread_max):
+def log_value_sets(draw, spread_max, loop_budget=math.inf):
     """(log values, r): k <= 300 values around a centre in [-300, 300],
-    spread up to +-spread_max, drawn uniformly, sorted (the small ones
-    multiplied first) or at two levels."""
+    spread up to +-spread_max and to k (4 spread + log 2) <= loop_budget,
+    drawn uniformly, sorted (the small ones multiplied first) or at two
+    levels."""
     k = draw(st.integers(1, 300))
     r = draw(st.integers(0, k))
     centre = draw(st.floats(-300.0, 300.0))
-    spread = draw(st.floats(0.0, spread_max))
+    spread = draw(st.floats(0.0, min(spread_max, (loop_budget / k - math.log(2.0)) / 4.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.uniform(-spread, spread, k)
     layout = draw(st.sampled_from(["uniform", "sorted", "two levels"]))
@@ -171,19 +172,29 @@ def log_value_sets(draw, spread_max):
     return centre + values, r
 
 
-@given(log_value_sets(spread_max=10.0))
+@given(log_value_sets(spread_max=10.0, loop_budget=700.0))
 def test_log_esp_matches_sequential_loop(case):
-    # The loop renormalizes its whole table at once, so it stays exact only
-    # while the values spread by less than about 30 in log (see the next test).
+    # The loop renormalizes its whole table at once, so it is exact only
+    # while every entry it will need stays a normal float.  Scaled by their
+    # geometric mean, the k weights lie in [e^-2s, e^2s] for values spread
+    # by +-s, and the table's top is at least 1, so an entry of order j is at
+    # least e_j/top >= w_min^j / (1 + w_max)^k >= e^-k(4s + log 2).  Hence
+    # k (4s + log 2) <= 700 keeps every entry above e^-700, clear of the
+    # subnormals below e^-708.  Past it the loop can fail (k = 231 at two
+    # levels +-10: see the next test's examples).
     lw, r = case
     want = log_esp_loop(lw, r)
     assert log_esp(lw, r) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 @given(log_value_sets(spread_max=300.0))
+@example((np.where(np.arange(231) < 116, 10.0, -10.0), 197))
+@example((np.where(np.arange(231) < 116, 10.0, -10.0), 195))
 def test_log_esp_matches_log_space_oracle(case):
     # At spreads up to +-300 the loop returned NaN or lost up to a fifth of
-    # log e_r; the tree must stay finite and exact there.
+    # log e_r; the tree must stay finite and exact there.  The two examples
+    # are two levels at +-10 where e_r lies 1e-315 and 1e-324 below e_116:
+    # the loop's renormalized table loses e_195's digits and e_197 to zero.
     lw, r = case
     want = log_esp_log_space(lw, r)
     got = log_esp(lw, r)
@@ -308,6 +319,20 @@ def test_martingale_probe_rejects_tau_prime_at_or_past_n(monkeypatch):
         assert exc.value.failures == [
             f"tau_prime < n required, got tau_prime={tau_prime}, n=100"
         ]
+
+
+def test_martingale_probe_rate_underflow_is_unsupported(monkeypatch):
+    # b = 2 ((m+d1)/(m+d0))^m = 2 (1001000)^1000 is past float range: the
+    # rate is 0, and the default grid it would size raises before a replicate
+    from pacp import reduction
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran before the grid was checked")
+
+    monkeypatch.setattr(reduction.campaign, "run_replicates", no_replicates)
+    assert azuma_rate(1000, -999.0, 1e6) == 0.0
+    with pytest.raises(UnsupportedRegime):
+        martingale_tail_probe(200, 1000, -999.0, 1e6, 10, 2, seed=1)
 
 
 def test_martingale_probe_trivial_and_small_run():

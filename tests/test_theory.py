@@ -334,14 +334,48 @@ def test_degree_moment_worked_example():
 
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_degree_moment_matches_per_arrival_recursion(m):
-    # the cumulative products round in another order than the per-arrival
-    # recursion, so the two agree to 1e-13 relative (about 450 ulp), not bitwise
+    # the rising-factorial products round in another order than the
+    # per-arrival recursion, so the two agree to 1e-13 relative, not bitwise
     for delta in (-0.9 * m, -0.3 * m, 0.0, 0.7, 2.5, 40.0):
         for t in (1, 2, 3, 50, 400):
             for u in sorted({0, 1, 2, t - 1} & set(range(t))):
                 mc = degree_moment(u, t, m, delta)
                 ref = degree_moment_by_arrival(u, t, m, delta)
                 assert (mc.xi, mc.kappa, mc.gamma_prod) == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+def _mp_degree_moment(u, t, m, delta0):
+    """(xi, kappa, gamma_prod) in 40 digits: each arrival's sub-steps
+    telescope, prod_i (1 + 1/(S_i + c)) = (At - m + c)/(At - 2m + c) with
+    A = 2m + delta0, so G and Q are log-gamma quotients."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        a = 2 * m + mpmath.mpf(delta0)
+        lo = max(1, u) + 1
+
+        def log_prod(c):
+            x, y = (m - c) / a, (2 * m - c) / a
+            return (
+                mpmath.loggamma(t + 1 - x) - mpmath.loggamma(lo - x)
+                - mpmath.loggamma(t + 1 - y) + mpmath.loggamma(lo - y)
+            )
+
+        g, log_q = mpmath.exp(log_prod(0)), log_prod(1)
+        return float(g * mpmath.exp(log_q)), float(g * mpmath.expm1(log_q)), float(g)
+
+
+def test_degree_moment_matches_mpmath_loggamma():
+    # each field within 1e-14 relative of the 40-digit closed form, up to
+    # t = 1e6 and down to delta0 = -m + 1e-6
+    pairs = ((0, 2), (0, 7), (3, 100), (17, 100), (0, 10**4), (500, 10**5),
+             (10**5, 150_000), (900_000, 10**6), (0, 10**6))
+    for m in (1, 2, 3, 5):
+        for delta in (-m + 1e-6, -m / 2, 0.0, 0.7, 50.0, 1e4):
+            for u, t in pairs:
+                mc = degree_moment(u, t, m, delta)
+                ref = _mp_degree_moment(u, t, m, delta)
+                assert (mc.xi, mc.kappa, mc.gamma_prod) == pytest.approx(ref, rel=1e-14, abs=0)
 
 
 def test_degree_moment_monotone_growth():
@@ -398,6 +432,15 @@ def test_mean_weight_examples_and_bounds():
         d0 = float(rng.uniform(-0.9 * m, 4))
         d1 = float(rng.uniform(-0.9 * m, 4))
         mean_weight_mn(tp, n, d0, d1, m)  # containment asserted on construction
+
+
+def test_mean_weight_at_extreme_weight_ratios():
+    # every row's exp under- or overflows; the log-mean-exp stays finite and
+    # inside its envelope (asserted on construction)
+    low = mean_weight_mn(100, 200, 1000.0, -999.0, 1000)
+    assert low.value == 0.0 and low.log_value == pytest.approx(-1103.84, abs=0.01)
+    high = mean_weight_mn(10, 200, -999.0, 1e6, 1000)
+    assert high.value == math.inf and high.log_value == pytest.approx(7050.33, abs=0.01)
 
 
 def test_log_integral_bound_dominates_quadrature():
