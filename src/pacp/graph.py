@@ -111,7 +111,7 @@ class AttachmentLog:
         """
         t = self.n if upto is None else upto
         if not 1 <= t <= self.n:
-            raise ValueError(f"prefix time {t} out of range 1..{self.n}")
+            raise DomainError(f"prefix time {t} out of range 1..{self.n}")
         cut = (t - 1) * self.m
         late = self._targets[cut:]
         if cut <= len(late):
@@ -126,7 +126,7 @@ class AttachmentLog:
     def prefix(self, t: int) -> "AttachmentLog":
         """The induced log on vertices ``0..t`` (g restricted to early arrivals)."""
         if not 1 <= t <= self.n:
-            raise ValueError(f"prefix time {t} out of range 1..{self.n}")
+            raise DomainError(f"prefix time {t} out of range 1..{self.n}")
         return AttachmentLog(t, self.m, self._targets[: (t - 1) * self.m], validate=False)
 
     def __eq__(self, other) -> bool:
@@ -468,7 +468,7 @@ class DegreeTailCounts:
 
     def n_gt(self, k: int) -> int:
         if k < self.m:
-            raise ValueError(f"tail counts are defined for k >= m = {self.m}")
+            raise DomainError(f"tail counts are defined for k >= m = {self.m}")
         j = k - self.m
         return int(self.tail[j]) if j < len(self.tail) else 0
 
@@ -496,7 +496,7 @@ def degree_tail_counts(g: AttachmentLog, upto: int | None = None) -> DegreeTailC
     """Tail counts of the prefix graph on ``0..upto``."""
     t = g.n if upto is None else upto
     if not 1 <= t <= g.n:
-        raise ValueError(f"prefix time {t} out of range 1..{g.n}")
+        raise DomainError(f"prefix time {t} out of range 1..{g.n}")
     deg = g.degrees(upto=t)
     return DegreeTailCounts(n=g.n, m=g.m, upto=t, degrees=deg, tail=_tail_from_degrees(deg, g.m))
 
@@ -557,7 +557,7 @@ def substep_degrees(g: AttachmentLog, t_lo: int = 2) -> np.ndarray:
     one more.
     """
     if not 2 <= t_lo <= g.n + 1:
-        raise ValueError(f"t_lo {t_lo} out of range 2..{g.n + 1}")
+        raise DomainError(f"t_lo {t_lo} out of range 2..{g.n + 1}")
     tl = g.targets[(t_lo - 2) * g.m :]
     size = len(tl)
     # Targets are below n and positions below L <= 2**b < 2L, so every key
@@ -625,7 +625,7 @@ def bold_vertices(g: AttachmentLog, tau_prime: int) -> BoldSet:
     """
     n, m = g.n, g.m
     if not 0 <= tau_prime < n:
-        raise ValueError(f"tau_prime {tau_prime} out of range 0..{n - 1}")
+        raise DomainError(f"tau_prime {tau_prime} out of range 0..{n - 1}")
     late = g.targets[max(tau_prime - 1, 0) * m :]
     if tau_prime == 0:
         late = np.concatenate((np.zeros(m, dtype=np.int64), late))

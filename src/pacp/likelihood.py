@@ -23,6 +23,10 @@ windows, built on first use (a window that starts below arrival 2 shares
 the table of the same window from 2).  Every sum it feeds has terms of one
 sign, so no large sums cancel.
 
+The S-ratio log S(d1)/S(d0) is one set of terms, ``_ratio_terms``: head
+rows and series coefficients c_j, evaluated per arrival by ``_log_s_rows``
+and summed against the P_j for the window total ``_log_s_ratio``.
+
 ``log_s_sum`` is priced from the same table: log S = log A + log t +
 log(1 - a_i/(At)), so the series arrivals give m N log A + m sum log t -
 sum_j M_j P_j A^-j / j, with the sum of log t over them held in the table
@@ -235,46 +239,47 @@ def _log_quotient(num, den, diff):
     return np.where(x >= -0.5, np.log1p(np.maximum(x, -0.5)), np.log(num / den))
 
 
-def _log_s_ratio(tau: int, n: int, d0: float, d1: float, m: int) -> float:
-    """log of prod over post-change sub-steps of S(d0)/S(d1).
+def _ratio_terms(w: _Powers, d_num: float, d_den: float, m: int) -> tuple[np.ndarray, list[float]]:
+    """The terms of log S(d_num)/S(d_den) over window ``w``: each head
+    arrival's row sum_i log S(d_num)/S(d_den), and the coefficients c_0..c_J
+    of a series arrival's row sum_j c_j t^-j.
 
-    Each sub-step gives log(A0/A1) + log(1 - a_i/(A0 t)) - log(1 - a_i/(A1 t)):
-    summed over the series arrivals that is m N log(A0/A1) - sum_j M_j P_j
-    (A0^-j - A1^-j)/j, each power difference formed without cancellation.
+    Each series sub-step gives log(A_num/A_den) + log(1 - a_i/(A_num t)) -
+    log(1 - a_i/(A_den t)), so c_0 = m log(A_num/A_den) and c_j = M_j
+    (A_den^-j - A_num^-j)/j = M_j A_num^-j expm1(j log(A_num/A_den))/j, each
+    power difference formed without cancellation.
     """
+    heads = _log_quotient(m + d_num + w.head, m + d_den + w.head, d_num - d_den).sum(axis=1)
+    log_ratio = _log_quotient(2 * m + d_num, 2 * m + d_den, d_num - d_den)
+    x = 1.0 / (2 * m + d_num)
+    coef = [m * log_ratio] + [
+        w.moments[j] * x**j * math.expm1(j * log_ratio) / j for j in range(1, len(w.p))
+    ]
+    return heads, coef
+
+
+def _log_s_ratio(tau: int, n: int, d0: float, d1: float, m: int) -> float:
+    """log of prod over post-change sub-steps of S(d0)/S(d1): minus the head
+    rows and sum_j c_j P_j of ``_ratio_terms`` with (d_num, d_den) = (d1, d0)."""
     w = _window_powers(tau + 1, n, m)
-    a0, a1 = 2 * m + d0, 2 * m + d1
-    head = float(_log_quotient(m + d0 + w.head, m + d1 + w.head, d0 - d1).sum())
-    log_ratio = _log_quotient(a0, a1, d0 - d1)
-    series, x, x0 = 0.0, 1.0, 1.0 / a0
-    for j in range(1, len(w.p)):
-        x *= x0
-        series += w.moments[j] * w.p[j] * x * math.expm1(j * log_ratio) / j
-    return math.fsum((head, m * w.p[0] * log_ratio, series))
+    heads, coef = _ratio_terms(w, d1, d0, m)
+    return -math.fsum(heads.tolist() + [c * p for c, p in zip(coef, w.p)])
 
 
 def _log_s_rows(t_lo: int, t_hi: int, delta0: float, delta1: float, m: int) -> np.ndarray:
     """Per-arrival sum_i log S(delta1) - log S(delta0) over the sub-steps of
     arrivals t_lo..t_hi (from 2 on), one entry per arrival.
 
-    A series row is m log(A1/A0) plus the polynomial sum_j c_j t^-j with
-    c_j = M_j A1^-j expm1(j log(A1/A0))/j, evaluated by Horner's rule.  The
-    bound 2/t falls along the window, so each 16-fold stretch of arrivals
-    takes only the terms its own first arrival needs.
+    A series row is the polynomial sum_j c_j t^-j of ``_ratio_terms``,
+    evaluated by Horner's rule.  The bound 2/t falls along the window, so
+    each 16-fold stretch of arrivals takes only the terms its own first
+    arrival needs.
     """
     w = _window_powers(t_lo, t_hi, m)
-    heads = len(w.head)
-    rows = np.empty(heads + t_hi + 1 - w.first_tail)
-    rows[:heads] = _log_quotient(
-        m + delta1 + w.head, m + delta0 + w.head, delta1 - delta0
-    ).sum(axis=1)
-    log_ratio = _log_quotient(2 * m + delta1, 2 * m + delta0, delta1 - delta0)
-    x1 = 1.0 / (2 * m + delta1)
-    # c_0 = m log(A1/A0), then c_1..c_J
-    coef = [m * log_ratio] + [
-        w.moments[j] * x1**j * math.expm1(j * log_ratio) / j for j in range(1, len(w.p))
-    ]
-    first, offset = w.first_tail, heads - w.first_tail
+    heads, coef = _ratio_terms(w, delta1, delta0, m)
+    rows = np.empty(len(heads) + t_hi + 1 - w.first_tail)
+    rows[: len(heads)] = heads
+    first, offset = w.first_tail, len(heads) - w.first_tail
     while first <= t_hi:
         stop = min(16 * first, t_hi + 1)
         seg = rows[offset + first : offset + stop]

@@ -431,17 +431,17 @@ def martingale_tail_probe(
     replicates: int,
     seed: int,
     *,
-    c: float | None = None,
-    x_grid=None,
     threads: int = 1,
 ) -> McResult:
     """Empirical upper-tail frequencies of the averaged weight ratio around
     its conditional mean, compared with exp(-c width' x^2) on a grid of x.
 
-    The estimate is the fraction of grid points whose empirical frequency
-    exceeds the bound (0.0 means the bound held everywhere).  The default
-    grid runs to the x where the bound is 1e-6; UnsupportedRegime if that x
-    is not finite (the rate c underflows, as at large m |log((m+d1)/(m+d0))|).
+    The rate c is ``azuma_rate``'s, and the grid is always 201 points from 0
+    to the x where the bound is 1e-6; both are reported in the
+    auxiliaries.  The estimate is the fraction of grid points whose
+    empirical frequency exceeds the bound (0.0 means the bound held
+    everywhere).  UnsupportedRegime if that x is not finite (the rate c
+    underflows, as at large m |log((m+d1)/(m+d0))|).
     """
     failures = []
     if tau_prime < 3:
@@ -450,15 +450,12 @@ def martingale_tail_probe(
         failures.append(f"tau_prime < n required, got tau_prime={tau_prime}, n={n}")
     if failures:
         raise PreconditionViolated(failures)
-    if c is None:
-        c = azuma_rate(m, delta0, delta1)
+    c = azuma_rate(m, delta0, delta1)
     width_prime = n - tau_prime
-    if x_grid is None:
-        x_max = math.sqrt(math.log(1e6) / (c * width_prime)) if c > 0 else math.inf
-        if not math.isfinite(x_max):
-            raise UnsupportedRegime(f"Azuma rate c = {c} gives no finite default x grid")
-        x_grid = np.linspace(0.0, x_max, 201)
-    x_grid = np.asarray(x_grid, dtype=np.float64)
+    x_max = math.sqrt(math.log(1e6) / (c * width_prime)) if c > 0 else math.inf
+    if not math.isfinite(x_max):
+        raise UnsupportedRegime(f"Azuma rate c = {c} gives no finite default x grid")
+    x_grid = np.linspace(0.0, x_max, 201)
     mn = mean_weight_mn(tau_prime, n, delta0, delta1, m).value
     rows = campaign.run_replicates(
         _martingale_replicate,

@@ -151,6 +151,34 @@ def test_window_tail_diff_rejects_windows_that_do_not_exist():
     assert window_tail_diff(g, 1, 5).tolist() == [2, 1, 1]
 
 
+_G5 = from_rows(5, 1, {2: [0], 3: [0], 4: [1], 5: [0]})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _G5.degrees(upto=0),
+        lambda: _G5.degrees(upto=6),
+        lambda: _G5.prefix(0),
+        lambda: _G5.prefix(6),
+        lambda: degree_tail_counts(_G5, 0),
+        lambda: degree_tail_counts(_G5, 6),
+        lambda: degree_tail_counts(_G5).n_gt(0),
+        lambda: substep_degrees(_G5, 1),
+        lambda: substep_degrees(_G5, 7),
+        lambda: bold_vertices(_G5, -1),
+        lambda: bold_vertices(_G5, 5),
+    ],
+    ids=[
+        "degrees-0", "degrees-n+1", "prefix-0", "prefix-n+1", "tail-counts-0",
+        "tail-counts-n+1", "n_gt-below-m", "substep-1", "substep-n+2", "bold--1", "bold-n",
+    ],
+)
+def test_out_of_range_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_prefix_consistency():
     g = from_rows(3, 1, {2: [0], 3: [1]})
     assert g.prefix(3) == g

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pacp import AttachmentLog, DeltaProfile, apply_permutation, bold_vertices, from_rows, simulate
@@ -319,6 +319,34 @@ def test_normalizer_ratios_against_mpmath():
             rows = _log_s_rows(2, 200, d0, d1, m)
             for row, want in zip(rows, _mp_log_s_rows(2, 200, d1, d0, m)):
                 assert abs(row - want) <= 4 * eps * abs(want), (d0, d1, m)
+
+
+@st.composite
+def _s_ratio_cases(draw):
+    m = draw(st.integers(1, 5))
+    # windows from below T0 = 64 to past one or two 16-fold stretches
+    tau = draw(st.one_of(st.integers(1, 80), st.integers(1, 13_000)))
+    n = draw(st.one_of(st.integers(tau, max(tau, 2_000)), st.integers(tau, 200_000)))
+    guard = -m + 1e-9 * m
+    deltas = st.one_of(st.just(guard), st.floats(guard, 10.0), st.floats(10.0, 1e6))
+    d0 = draw(deltas)
+    d1 = draw(deltas.filter(lambda d: d != d0))
+    return tau, n, d0, d1, m
+
+
+@settings(max_examples=200)
+@example((62, 1100, 0.0, 2.0, 3))  # head arrival 63, then across 16·64 = 1024
+@example((1, 200_000, -1 + 1e-9, 1e6, 1))
+@example((4000, 200_000, 1e6, -5 + 5e-9, 5))
+@given(_s_ratio_cases())
+def test_log_s_ratio_is_the_sum_of_its_rows(case):
+    # The total sums the window's terms at the first arrival's J; the rows
+    # cut J per 16-fold stretch.  Every row has the sign of d1 - d0, so the
+    # two must agree to a few ulp of the total.
+    tau, n, d0, d1, m = case
+    total = _log_s_ratio(tau, n, d0, d1, m)
+    want = -math.fsum(_log_s_rows(tau + 1, n, d0, d1, m).tolist())
+    assert abs(total - want) <= 4 * np.finfo(float).eps * abs(want)
 
 
 def test_log_s_sum_against_mpmath():
