@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 PALOG_MAGIC = "PALOG v1"
+# Values an AttachmentLog keeps in its memo; one analysis of a log (a
+# likelihood, a test, an estimate) asks for two windows and one sum.
+_MEMO_ENTRIES = 8
 
 
 class AttachmentLog:
@@ -49,11 +52,14 @@ class AttachmentLog:
     The final degree vector is cached in the ``_final`` slot: one bincount
     of the whole log fills it, read-only, the first time a degree statistic
     needs it, so every later statistic of a late window reads only the
-    edges after its split.  The cache is never pickled and takes no part in
-    ``==`` or ``hash``.
+    edges after its split.  The ``_memo`` slot keeps the last few values
+    that the analyses of one log ask for more than once (each window's
+    ``window_tail_diff``, ``likelihood._log_mult_sum``), so each is computed
+    once per log.  Neither cache is pickled or takes part in ``==`` or
+    ``hash``.
     """
 
-    __slots__ = ("n", "m", "_targets", "_final")
+    __slots__ = ("n", "m", "_targets", "_final", "_memo")
 
     def __init__(self, n: int, m: int, targets, *, validate: bool = True):
         if n < 1:
@@ -66,10 +72,13 @@ class AttachmentLog:
                 f"expected {(n - 1) * m} targets for n={n}, m={m}, got shape {arr.shape}"
             )
         if validate and n > 1:
-            if (arr < 0).any():
-                raise PalogError("negative target label")
-            bad = arr.reshape(n - 1, m) >= np.arange(2, n + 1, dtype=np.int64)[:, None]
+            # A negative target reads as a huge unsigned one, so one
+            # comparison finds both faults.
+            arrival = np.arange(2, n + 1, dtype=np.uint64)[:, None]
+            bad = arr.view(np.uint64).reshape(n - 1, m) >= arrival
             if bad.any():
+                if (arr < 0).any():
+                    raise PalogError("negative target label")
                 j = int(np.argmax(bad))
                 raise TargetTooLarge(f"arrival {j // m + 2} records target {int(arr[j])}")
         arr.setflags(write=False)
@@ -77,6 +86,7 @@ class AttachmentLog:
         self.m = int(m)
         self._targets = arr
         self._final = None
+        self._memo = None
 
     @property
     def targets(self) -> np.ndarray:
@@ -100,6 +110,21 @@ class AttachmentLog:
             deg.setflags(write=False)
             self._final = deg
         return deg
+
+    def _memoized(self, key, compute):
+        """``compute()``, computed once for ``key`` while it is among the
+        last ``_MEMO_ENTRIES`` keys used on this log."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        if key in memo:
+            value = memo[key] = memo.pop(key)  # now the most recently used
+            return value
+        value = compute()
+        if len(memo) >= _MEMO_ENTRIES:
+            del memo[next(iter(memo))]  # the least recently used
+        memo[key] = value
+        return value
 
     def degrees(self, upto: int | None = None) -> np.ndarray:
         """Total degrees of the prefix graph on ``0..upto``, as a new array.
@@ -176,19 +201,29 @@ def from_rows(n: int, m: int, rows: Mapping[int, Iterable[int]]) -> AttachmentLo
 # Both directions work a fixed block at a time, so their temporaries stay a
 # few MB at any n.
 _FORMAT_BLOCK_ROWS = 16_384
-_PARSE_BLOCK_BYTES = 1 << 18
+_PARSE_BLOCK_BYTES = 1 << 17
 # Longer tokens are rejected: every value that fits is below 10**18 < 2**63.
 _MAX_TOKEN_CHARS = 18
 
-_LEADING_BLANKS = re.compile(rb"[ \t\r\n]*")
-_LINE_BREAK = re.compile(rb"[\r\n]")
 _HEADER = re.compile(
     rb"PALOG[ \t]+v1[ \t]+([nm])=([+-]?[0-9]+)[ \t]+([nm])=([+-]?[0-9]+)[ \t]*"
 )
-# load_palog reads every byte above 0x7F as "?", as parse_palog reads every
-# non-ASCII character, so a file that is not text reaches the parser, which
-# rejects the lines holding one.
+# How each kind of input is read: parse_palog's str and load_palog's file
+# bytes.  Per kind: its leading blanks, its line breaks (as a pattern, and
+# CR and LF), and how a block becomes ASCII bytes, one per character.
+# Every non-ASCII character, and every byte above 0x7F, becomes "?", so a
+# file that is not text reaches the tokenizer, which rejects the lines
+# holding one.
 _ASCII_OR_QMARK = bytes(range(128)) + b"?" * 128
+_TEXT = (
+    re.compile(r"[ \t\r\n]*"), re.compile(r"[\r\n]"), ("\r", "\n"),
+    lambda piece: piece.encode("ascii", errors="replace"),
+)
+_FILE = (
+    re.compile(rb"[ \t\r\n]*"), re.compile(rb"[\r\n]"), (b"\r", b"\n"),
+    lambda piece: piece.translate(_ASCII_OR_QMARK),
+)
+_LINE_BREAK = _FILE[1]
 
 
 def _digit_words() -> np.ndarray:
@@ -225,7 +260,8 @@ _GROUP = 10**4
 _DIGIT_WORDS = _digit_words()
 _SEPARATOR_WORDS = np.frombuffer(b" \0\0\0\n\0\0\0", dtype=np.uint32)
 _DIGIT_MASKS = _digit_masks()
-_WORD_SCALE = np.array([1, 10**8, 10**16], dtype=np.uint64)
+# (shift, mask) of the three SWAR steps: byte pairs, 16-bit pairs, halves.
+_SWAR_STEPS = ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF))
 
 
 def format_palog(g: AttachmentLog) -> str:
@@ -284,40 +320,46 @@ def parse_palog(text: str) -> AttachmentLog:
     last a negative target (``PalogError``) or a target >= its arrival
     (``TargetTooLarge``).
     """
-    # Every non-ASCII character becomes "?", which no token may contain.
-    return _parse_palog_bytes(text.encode("ascii", errors="replace"))
+    return _parse_palog(text, _TEXT)
 
 
-def _parse_palog_bytes(data: bytes) -> AttachmentLog:
-    """``parse_palog`` of ASCII bytes."""
-    start = _LEADING_BLANKS.match(data).end()
-    if start == len(data):
+def _parse_palog(text, kind) -> AttachmentLog:
+    """``parse_palog`` of ``text``, read as ``kind`` (``_TEXT`` or ``_FILE``).
+
+    The arrival lines are read a block at a time: each block is converted,
+    tokenized and its lines checked, and its targets go straight into the
+    log's targets array, so no other array spans the text.  The first
+    failed line check is kept while the remaining lines are only counted,
+    since a wrong line count is reported first.  At n = 1e5, m = 3 the
+    tracemalloc peak is the 2.4 MB of targets and one block's temporaries,
+    5.8 MB in all, where tokenizing the whole text at once took 12.1 MB.
+    """
+    leading_blanks, line_break, _, to_ascii = kind
+    start = leading_blanks.match(text).end()
+    if start == len(text):
         raise PalogError("empty PALOG input")
-    brk = _LINE_BREAK.search(data, start)
-    body = brk.start() if brk else len(data)
-    n, m = _parse_header(data[start:body])
-    first, offsets, bad, values = _tokenize(data, body)
-    rows = len(first)
+    brk = line_break.search(text, start)
+    body = brk.start() if brk else len(text)
+    n, m = _parse_header(to_ascii(text[start:body]))
+    # Each line of m + 1 tokens takes 2m + 1 characters after a line break.
+    # When n - 1 of them do not fit, some check below fails, so a huge n is
+    # never allocated.
+    fits = (n - 1) * (2 * m + 2) <= len(text) - body
+    targets = np.empty((n - 1) * m, dtype=np.int64) if fits else None
+    rows, error = 0, None
+    for block in _blocks(text, body, kind):
+        starts, first, bad, values = _tokenize_block(np.frombuffer(block, dtype=np.uint8))
+        lines = len(first)
+        if error is None:
+            error = _line_error(block, m, rows, starts, first, bad, values)
+            if error is None and fits and rows + lines < n:
+                out = targets[rows * m : (rows + lines) * m].reshape(lines, m)
+                out[...] = values.reshape(lines, m + 1)[:, 1:]
+        rows += lines
     if rows != n - 1:
         raise MissingRow(f"expected {n - 1} arrival lines, found {rows}")
-    labels = values[first]
-    counts = np.diff(first, append=len(values))
-    expect = np.arange(2, n + 1, dtype=np.int64)
-    offending = bad | (labels != expect) | (counts != m + 1)
-    if offending.any():
-        i = int(np.argmax(offending))
-        if bad[i]:
-            end = _LINE_BREAK.search(data, offsets[i])
-            line = data[offsets[i] : end.start() if end else len(data)].decode("ascii")
-            raise PalogError(f"unparsable arrival line: {line!r}")
-        if labels[i] != expect[i]:
-            raise MissingRow(f"arrival line {labels[i]} where {expect[i]} was expected")
-        raise WrongOutDegree(f"arrival {expect[i]} has {counts[i] - 1} targets, expected {m}")
-    # Freed before validation allocates, so the peak stays below the
-    # per-line parser's (12.1 against 13.4 MB at n=1e5, m=3).
-    del first, offsets, bad, labels, counts, expect, offending
-    targets = values.reshape(rows, m + 1)[:, 1:].ravel()
-    del values
+    if error is not None:
+        raise error
     return AttachmentLog(n, m, targets)
 
 
@@ -332,36 +374,43 @@ def _parse_header(line: bytes) -> tuple[int, int]:
     return n, m
 
 
-def _tokenize(data: bytes, pos: int):
-    """Tokens of ``data[pos:]``, which starts at a line break.
-
-    Returns, per non-blank line, the index of its first token, that token's
-    byte offset and whether the line holds a malformed token, and the value
-    of every token.  Blocks end just after an LF, so no line is split.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    firsts, offsets, bads, values = [], [], [], []
-    done = 0
-    while pos < len(data):
-        end = len(data)
+def _blocks(text, pos: int, kind):
+    """``text[pos:]``, which starts at a line break, as consecutive ASCII
+    blocks of about ``_PARSE_BLOCK_BYTES``.  Blocks end just after an LF, or
+    after a CR where no LF is near, so no line is split; a line longer than
+    a block ends its own block."""
+    _, line_break, (cr, lf), to_ascii = kind
+    while pos < len(text):
+        end = len(text)
         if end - pos > _PARSE_BLOCK_BYTES:
-            end = data.rfind(b"\n", pos, pos + _PARSE_BLOCK_BYTES) + 1
-            if end <= pos:  # one line longer than a block
-                end = data.find(b"\n", pos + _PARSE_BLOCK_BYTES) + 1 or len(data)
-        starts, first, bad, vals = _tokenize_block(buf[pos:end])
-        firsts.append(first + done)
-        offsets.append(starts[first] + pos)
-        bads.append(bad)
-        values.append(vals)
-        done += len(vals)
+            cut = pos + _PARSE_BLOCK_BYTES
+            end = text.rfind(lf, pos, cut) + 1 or text.rfind(cr, pos, cut) + 1
+            if not end:  # one line longer than a block
+                brk = line_break.search(text, cut)
+                end = brk.end() if brk else len(text)
+        yield to_ascii(text[pos:end])
         pos = end
-    if not values:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=bool), empty
-    return (
-        np.concatenate(firsts), np.concatenate(offsets), np.concatenate(bads),
-        np.concatenate(values),
-    )
+
+
+def _line_error(block: bytes, m: int, done: int, starts, first, bad, values):
+    """The error of a block's first offending line, or None when every line
+    is a well-formed arrival line; ``done`` lines came before the block."""
+    lines = len(first)
+    counts = np.diff(first, append=len(values))
+    labels = values[first]
+    expect = np.arange(done + 2, done + lines + 2, dtype=np.int64)
+    offending = bad | (labels != expect) | (counts != m + 1)
+    if not offending.any():
+        return None
+    i = int(np.argmax(offending))
+    if bad[i]:
+        at = int(starts[first[i]])
+        end = _LINE_BREAK.search(block, at)
+        line = block[at : end.start() if end else len(block)].decode("ascii")
+        return PalogError(f"unparsable arrival line: {line!r}")
+    if labels[i] != expect[i]:
+        return MissingRow(f"arrival line {labels[i]} where {expect[i]} was expected")
+    return WrongOutDegree(f"arrival {expect[i]} has {counts[i] - 1} targets, expected {m}")
 
 
 def _tokenize_block(b: np.ndarray):
@@ -369,72 +418,94 @@ def _tokenize_block(b: np.ndarray):
 
     A token is a maximal run of bytes other than space, tab, CR and LF.  It
     is well formed when it is an optional sign and then ASCII digits, 18
-    characters at most.
+    characters at most.  Returns every token's first byte offset, the index
+    of each line's first token, whether each line holds a malformed token,
+    and every token's value (meaningless for a malformed one).
     """
-    breaks = (b == 10) | (b == 13)
-    tok = ~(breaks | (b == 32) | (b == 9))
-    edges = np.flatnonzero(tok[1:] != tok[:-1]) + 1
-    if tok[0]:
-        edges = np.concatenate(([0], edges))
-    if tok[-1]:
-        edges = np.concatenate((edges, [len(b)]))
-    starts, ends = edges[0::2], edges[1::2]
-    # The first token of a line is the first token after some line break:
-    # the block's first token, and every later one whose gap from the token
-    # before holds a break.  A one-byte gap is the byte before the token;
-    # only the wider gaps are searched.
-    before = b[starts[1:] - 1]
-    is_first = np.empty(len(starts), dtype=bool)
+    size = len(b)
+    # Every byte that is not a digit, in one pass (below "0" wraps around):
+    # the separators and, in well-formed text, nothing else.
+    at = np.flatnonzero((b - 48) > 9)
+    byte = b[at]
+    brk = (byte == 10) | (byte == 13)
+    sep = brk | (byte == 32) | (byte == 9)
+    odd = None  # the signs and stray bytes
+    if not sep.all():
+        odd = at[~sep]
+        at, brk = at[sep], brk[sep]
+    # A token fills each gap wider than one byte between neighbouring
+    # separators, counting one just before the block and one at its end.
+    edges = np.empty(len(at) + 2, dtype=np.int64)
+    edges[0], edges[1:-1], edges[-1] = -1, at, size
+    gap = np.flatnonzero(np.diff(edges) > 1)
+    # A line's first token is the first after a line break, and the block
+    # starts a line.  The separators at[gap[k-1]:gap[k]] lie between tokens
+    # k-1 and k; in canonical text that is one separator each, and slices
+    # take the place of gathers.
+    tokens = len(gap)
+    is_first = np.empty(tokens, dtype=bool)
     is_first[:1] = True
-    np.logical_or(before == 10, before == 13, out=is_first[1:])
-    wide = np.flatnonzero(starts[1:] - ends[:-1] > 1)
-    if len(wide):
-        at = np.flatnonzero(breaks)
-        hit = np.searchsorted(at, starts[wide + 1]) > np.searchsorted(at, ends[wide])
-        is_first[wide[hit] + 1] = True
+    if tokens and gap[-1] - gap[0] == tokens - 1:
+        gap = slice(gap[0], gap[-1] + 1)
+        is_first[1:] = brk[gap.start : gap.stop - 1]
+    else:
+        breaks = np.zeros(len(brk) + 1, dtype=np.int64)
+        np.cumsum(brk, out=breaks[1:])
+        is_first[1:] = np.diff(breaks[gap]) > 0
     first = np.flatnonzero(is_first)
+    starts = edges[:-1][gap] + 1
+    ends = edges[1:][gap]
 
     # Malformed: a byte other than a digit or a sign, a sign anywhere but
-    # before a token's first digit, or a token too long to hold.
-    digit = (b - 48) < 10
-    sign = (b == 43) | (b == 45)
-    where_sign = np.flatnonzero(sign)
-    after = np.minimum(where_sign + 1, len(b) - 1)
-    misplaced = ~digit[after] | (after == where_sign)
-    misplaced |= tok[np.maximum(where_sign - 1, 0)] & (where_sign > 0)
-    bad_bytes = np.concatenate((np.flatnonzero(tok & ~digit & ~sign), where_sign[misplaced]))
-    bad_tokens = np.concatenate(
-        (np.searchsorted(starts, bad_bytes, side="right") - 1,
-         np.flatnonzero(ends - starts > _MAX_TOKEN_CHARS))
-    )
+    # before a token's first digit, or a token too long to hold.  Only a
+    # block holding such a byte or token is searched.
+    digits = ends - starts
     bad = np.zeros(len(first), dtype=bool)
-    bad[np.searchsorted(first, bad_tokens, side="right") - 1] = True
+    signed = minus = None
+    if odd is not None or int(digits.max(initial=0)) > _MAX_TOKEN_CHARS:
+        bad_tokens = [np.flatnonzero(digits > _MAX_TOKEN_CHARS)]
+        if odd is not None:
+            token = np.searchsorted(starts, odd, side="right") - 1
+            odd_byte = b[odd]
+            after = np.minimum(odd + 1, size - 1)
+            placed = ((odd_byte == 43) | (odd_byte == 45)) & (odd == starts[token])
+            placed &= (odd + 1 < ends[token]) & ((b[after] - 48) < 10)
+            bad_tokens.append(token[~placed])
+            signed, minus = token[placed], odd_byte[placed] == 45
+        bad[np.searchsorted(first, np.concatenate(bad_tokens), side="right") - 1] = True
+        np.minimum(digits, _MAX_TOKEN_CHARS, out=digits)
+        if signed is not None:
+            digits[signed] -= 1
 
     # Values, 8 digits per word (SWAR, "SIMD within a register").  The 8
     # bytes that end k*8 bytes before a token's end, read as a little-endian
     # uint64, hold digits with the most significant at the lowest byte.
     # Masking keeps the token's digits, not the bytes before them or its
-    # sign, as 0..9 in their bytes; three multiply-shift-mask steps then
-    # combine neighbouring bytes, byte pairs and halves into the number.
-    digits = np.minimum(ends - starts, _MAX_TOKEN_CHARS)
-    signed = np.searchsorted(starts, where_sign[~misplaced])
-    digits[signed] -= 1
+    # sign, as 0..9 in their bytes.  Three multiply-shift steps then combine
+    # neighbouring bytes, byte pairs and halves into the number: multiplying
+    # by 1 + 10**c * 2**s adds 10**c times each lower part to the part above
+    # it, and a right shift by s brings that sum down.
     # 24 leading bytes put the three words before any token's end in bounds;
     # ``words[i]`` is the 8 bytes from ``padded[i]``, one word per offset.
-    padded = np.zeros(len(b) + 24, dtype=np.uint8)
+    padded = np.empty(size + 24, dtype=np.uint8)
+    padded[:24] = 0
     padded[24:] = b
-    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-    depth = (int(digits.max(initial=0)) + 7) // 8
-    w = words[ends + 16 - 8 * np.arange(depth)[:, None]]
-    w &= _DIGIT_MASKS[:depth, digits]
-    for shift, mask in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0xFFFFFFFF)):
-        high = w >> np.uint64(shift)
-        w *= np.uint64(10 ** (shift // 8))
-        w += high
-        w &= np.uint64(mask)
-    vals = (_WORD_SCALE[:depth] @ w).view(np.int64)
-    vals[signed] *= np.where(b[starts[signed]] == 45, -1, 1)
-    return starts, first, bad, vals
+    words = np.ndarray((size + 17,), dtype="<u8", buffer=padded, strides=(1,))
+    for k in range(max(1, (int(digits.max(initial=0)) + 7) // 8)):
+        w = np.take(words, ends + (16 - 8 * k))
+        w &= np.take(_DIGIT_MASKS[k], digits)
+        for shift, mask in _SWAR_STEPS:
+            w *= np.uint64(1 + (10 ** (shift // 8) << shift))
+            w >>= np.uint64(shift)
+            w &= np.uint64(mask)
+        if k == 0:
+            values = w.view(np.int64)
+        else:
+            w *= np.uint64(10 ** (8 * k))
+            values += w.view(np.int64)
+    if signed is not None:
+        values[signed[minus]] *= -1
+    return starts, first, bad, values
 
 
 def save_palog(g: AttachmentLog, path) -> None:
@@ -445,7 +516,7 @@ def save_palog(g: AttachmentLog, path) -> None:
 def load_palog(path) -> AttachmentLog:
     with open(path, "rb") as fh:
         data = fh.read()
-    return _parse_palog_bytes(data.translate(_ASCII_OR_QMARK))
+    return _parse_palog(data, _FILE)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +578,10 @@ def window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
     The degree side of the likelihood block of arrivals ``lo..hi``; for
     ``lo = 1`` nothing is subtracted (these are the tail counts of ``g_hi``),
     and an empty window (``lo = hi + 1``) gives zeros.  The array is as long
-    as the tail of ``g_hi``, up to its largest degree.
+    as the tail of ``g_hi``, up to its largest degree.  It is computed once
+    per window and log (the log's memo keeps it) and is read-only: writing
+    to it raises ``ValueError``, so no caller can change what the next one
+    reads.
 
     Only the vertices the window's edges hit can change their tail counts:
     such a vertex moves from its degree d_pre before the window (m if it is
@@ -519,29 +593,36 @@ def window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
     late window costs O(L log L) in its L edges; otherwise every vertex
     takes part, with d_pre read from the degrees at ``lo - 1``.
     """
+    if not (1 <= lo <= hi + 1 and hi <= g.n):
+        raise DomainError(f"window ({lo}, {hi}) out of range 1..{g.n}")
+    return g._memoized(("window_tail_diff", lo, hi), lambda: _window_tail_diff(g, lo, hi))
+
+
+def _window_tail_diff(g: AttachmentLog, lo: int, hi: int) -> np.ndarray:
     n, m = g.n, g.m
-    if not (1 <= lo <= hi + 1 and hi <= n):
-        raise DomainError(f"window ({lo}, {hi}) out of range 1..{n}")
     t = max(hi, 1)
     deg = g._final_degrees() if t == n else g.degrees(upto=t)
     if lo == 1:
-        return _tail_from_degrees(deg, m)
-    start = (lo - 2) * m
-    hits = g.targets[start : (t - 1) * m]
-    if len(hits) < start:
-        hits = np.sort(hits)
-        run, count = _runs(hits)
-        post = deg[hits[run]]
-        pre = post - count
+        diff = _tail_from_degrees(deg, m)
     else:
-        post = deg
-        pre = np.full(len(deg), m, dtype=np.int64)
-        before = g.degrees(upto=lo - 1)
-        pre[: len(before)] = before
-    size = int(deg.max()) - m + 1
-    moves = np.bincount(pre - m, minlength=size)
-    moves -= np.bincount(post - m, minlength=size)
-    return np.cumsum(moves[:-1])
+        start = (lo - 2) * m
+        hits = g.targets[start : (t - 1) * m]
+        if len(hits) < start:
+            hits = np.sort(hits)
+            run, count = _runs(hits)
+            post = deg[hits[run]]
+            pre = post - count
+        else:
+            post = deg
+            pre = np.full(len(deg), m, dtype=np.int64)
+            before = g.degrees(upto=lo - 1)
+            pre[: len(before)] = before
+        size = int(deg.max()) - m + 1
+        moves = np.bincount(pre - m, minlength=size)
+        moves -= np.bincount(post - m, minlength=size)
+        diff = np.cumsum(moves[:-1])
+    diff.setflags(write=False)
+    return diff
 
 
 def substep_degrees(g: AttachmentLog, t_lo: int = 2) -> np.ndarray:

@@ -122,9 +122,14 @@ def _log_growth(t_lo: int, t_hi: int, delta: float, m: int, c: int) -> float:
 
 
 def _log_mult_sum(g: AttachmentLog) -> float:
-    """Sum over arrivals of log(mu!) for each target multiplicity mu."""
+    """Sum over arrivals of log(mu!) for each target multiplicity mu,
+    computed once per log (the log's memo keeps it)."""
     if g.m == 1 or g.n == 1:
         return 0.0
+    return g._memoized("log_mult_sum", lambda: _sum_log_multiplicities(g))
+
+
+def _sum_log_multiplicities(g: AttachmentLog) -> float:
     rows = g.targets.reshape(g.n - 1, g.m)
     # Only rows that repeat a target contribute; math.fsum is exactly
     # rounded, so leaving out the zero rows changes no bit.

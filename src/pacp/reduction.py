@@ -269,9 +269,22 @@ def second_moment_bound_log_rhs(
 def _second_moment_replicate(r, n, m, delta0, delta1, tau, tau_prime, alpha, seed):
     g = simulate(n, m, DeltaProfile.constant(delta0), (seed, r))
     ctx = ReductionContext.build(g, tau, tau_prime, alpha, delta0, delta1)
-    y = permuted_lr(ctx)
+    log_y = log_permuted_lr(ctx)
+    y = safe_exp(log_y)
     b = event_bn(ctx)
-    return {"y": y, "bn": bool(b), "y2_bn": y * y if b else 0.0, "y_bn": y if b else 0.0}
+    return {
+        "y": y, "log_y": log_y, "bn": bool(b), "y2_bn": y * y if b else 0.0,
+        "y_bn": y if b else 0.0,
+    }
+
+
+def _log_mean_exp(log_terms: list[float], count: int) -> float:
+    """log of sum(exp(log_terms)) / count; -inf when every term is -inf or
+    there is none."""
+    top = max(log_terms, default=-math.inf)
+    if top == -math.inf:
+        return -math.inf
+    return top + math.log(math.fsum(math.exp(v - top) for v in log_terms) / count)
 
 
 def second_moment_probe(
@@ -291,6 +304,11 @@ def second_moment_probe(
 ) -> McResult:
     """Estimate E0[Y^2 1_B] under the constant law and evaluate the analytic
     bound's right-hand side for caller-supplied constants.
+
+    The auxiliary ``log_estimate`` is the log of the same mean, formed from
+    each replicate's log Y as the log-mean-exp of 2 log Y 1_B (-inf when no
+    replicate is in B), so a second moment past float range, whose
+    ``estimate`` reads inf, is still a number.
 
     The probed statement's hypotheses are enforced: n >= 4, 3 <= tau' < tau,
     alpha width'/tau' <= 1/2 and width/width' <= 1/4.
@@ -323,6 +341,7 @@ def second_moment_probe(
     y2 = np.array([row["y2_bn"] for row in rows])
     est, se = _mean_se(y2)
     y_bn_mean, y_bn_se = _mean_se(np.array([row["y_bn"] for row in rows]))
+    log_est = _log_mean_exp([2.0 * row["log_y"] for row in rows if row["bn"]], replicates)
     log_rhs = second_moment_bound_log_rhs(m, tau_prime, width, width_prime, alpha, c1, c2)
     return McResult(
         estimate=est,
@@ -330,6 +349,7 @@ def second_moment_probe(
         replicates=replicates,
         seed=seed,
         auxiliaries={
+            "log_estimate": log_est,
             "bound_log_rhs": log_rhs,
             "bound_rhs": safe_exp(log_rhs),
             "p0_bn": float(np.mean([row["bn"] for row in rows])),
@@ -440,8 +460,11 @@ def martingale_tail_probe(
     to the x where the bound is 1e-6; both are reported in the
     auxiliaries.  The estimate is the fraction of grid points whose
     empirical frequency exceeds the bound (0.0 means the bound held
-    everywhere).  UnsupportedRegime if that x is not finite (the rate c
-    underflows, as at large m |log((m+d1)/(m+d0))|).
+    everywhere).  UnsupportedRegime, before any replicate, if that x is
+    not finite (the rate c underflows, as at large m |log((m+d1)/(m+d0))|)
+    or if the mean weight m_n is not a positive float (it underflows or
+    overflows there too): every weight would then read 0 or inf, and the
+    tails would compare nothing.
     """
     failures = []
     if tau_prime < 3:
@@ -457,6 +480,8 @@ def martingale_tail_probe(
         raise UnsupportedRegime(f"Azuma rate c = {c} gives no finite default x grid")
     x_grid = np.linspace(0.0, x_max, 201)
     mn = mean_weight_mn(tau_prime, n, delta0, delta1, m).value
+    if not 0.0 < mn < math.inf:
+        raise UnsupportedRegime(f"the mean weight m_n = {mn} is outside float range")
     rows = campaign.run_replicates(
         _martingale_replicate,
         replicates,

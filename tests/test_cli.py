@@ -350,13 +350,17 @@ def test_martingale_probe_tau_prime_past_n_is_a_domain_error(capsys):
 
 
 def test_martingale_probe_at_extreme_weight_ratios(capsys):
-    # m |log((2m+d1)/(2m+d0))| in the thousands: the mean weight m_n
-    # underflows to 0 and is reported; where the Azuma rate underflows to 0
-    # there is no default x grid, a structured error (exit 3)
+    # m |log((2m+d1)/(2m+d0))| in the thousands: where the mean weight m_n
+    # underflows to 0 every weight reads 0 and the tails compare nothing, and
+    # where the Azuma rate underflows to 0 there is no default x grid; both
+    # are a structured error (exit 3)
     base = ["contiguity", "--probe", "martingale", "--n", "200", "--m", "1000",
             "--replicates", "2", "--seed", "1"]
-    assert main(base + ["--delta0", "1000", "--delta1", "-999", "--tau-prime", "100"]) == 0
-    assert _strict_json(capsys.readouterr().out)["result"]["auxiliaries"]["m_n"] == 0.0
+    code, payload = run_cli(
+        base + ["--delta0", "1000", "--delta1", "-999", "--tau-prime", "100"], capsys
+    )
+    assert code == 3 and payload["error"]["type"] == "UnsupportedRegime"
+    assert "m_n = 0.0" in payload["error"]["message"]
     code, payload = run_cli(
         base + ["--delta0", "-999", "--delta1", "1000000", "--tau-prime", "10"], capsys
     )

@@ -1,6 +1,7 @@
 import gc
 import pickle
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,7 +28,11 @@ from pacp.errors import (
     TargetTooLarge,
     WrongOutDegree,
 )
-from pacp.graph import _format_rows, _tokenize, _tokenize_block, substep_degrees, window_tail_diff
+from pacp.graph import (
+    _MEMO_ENTRIES, _PARSE_BLOCK_BYTES, _format_rows, _tokenize_block, substep_degrees,
+    window_tail_diff,
+)
+from pacp.likelihood import _log_mult_sum
 from pacp.reduction import kernel_sample
 
 from helpers import (
@@ -138,6 +143,53 @@ def test_degree_cache_lives_on_the_instance():
     del g
     gc.collect()
     assert cached() is None  # nothing outside the log holds its cache
+
+
+def test_window_tail_diff_is_read_only():
+    g = from_rows(4, 2, {2: [0, 1], 3: [0, 0], 4: [3, 1]})
+    for lo, hi in ((4, 4), (1, 4), (2, 3), (5, 4)):
+        want = window_tail_diff(g, lo, hi).tolist()
+        with pytest.raises(ValueError):
+            window_tail_diff(g, lo, hi)[:] = 99
+        assert window_tail_diff(g, lo, hi).tolist() == want
+
+
+def test_memo_lives_on_the_instance_and_outside_equality_and_pickle():
+    assert "_memo" in AttachmentLog.__slots__
+    g = simulate(50, 2, DeltaProfile.constant(0.0), (15, 0))
+    fresh = AttachmentLog(g.n, g.m, g.targets.copy())
+    diff = window_tail_diff(g, 41, 50)
+    log_mult = _log_mult_sum(g)
+    assert window_tail_diff(g, 41, 50) is diff  # computed once
+    assert g._memo is not None and fresh._memo is None
+    assert window_tail_diff(fresh, 41, 50) is not diff  # each log has its own
+    assert g == fresh and hash(g) == hash(fresh)
+    back = pickle.loads(pickle.dumps(g))
+    assert back._memo is None and back == g
+    assert len(pickle.dumps(g)) == len(pickle.dumps(AttachmentLog(g.n, g.m, g.targets)))
+    assert window_tail_diff(back, 41, 50).tolist() == diff.tolist()
+    assert _log_mult_sum(back) == log_mult
+    cached = weakref.ref(diff)
+    del g, diff
+    gc.collect()
+    assert cached() is None  # nothing outside the log holds its memo
+
+
+def test_memo_keeps_a_bounded_number_of_entries():
+    g = simulate(200, 2, DeltaProfile.constant(0.5), (16, 0))
+    windows = [(lo, 200) for lo in range(2, 2 + 3 * _MEMO_ENTRIES)]
+    for lo, hi in windows:
+        window_tail_diff(g, lo, hi)
+        assert len(g._memo) <= _MEMO_ENTRIES
+    assert len(g._memo) == _MEMO_ENTRIES
+    # the most recently used stay; a window used again is kept over older ones
+    assert list(g._memo)[-1] == ("window_tail_diff",) + windows[-1]
+    kept = next(iter(g._memo))
+    window_tail_diff(g, *kept[1:])
+    window_tail_diff(g, 1, 200)
+    assert kept in g._memo
+    for lo, hi in windows:  # evicted windows are computed again, unchanged
+        assert_same_array(window_tail_diff(g, lo, hi), window_tail_diff_two_prefixes(g, lo, hi))
 
 
 def test_window_tail_diff_rejects_windows_that_do_not_exist():
@@ -328,7 +380,8 @@ def test_tokenize_reads_every_digit_count():
     tokens = [str(v) for v in _DIGIT_COUNTS]
     tokens += [sign + t for t in tokens if len(t) < 18 for sign in "+-"]
     tokens += [t.zfill(18) for t in tokens]
-    _, _, bad, values = _tokenize(("\n" + " ".join(tokens) + "\n").encode(), 0)
+    block = np.frombuffer(("\n" + " ".join(tokens) + "\n").encode(), dtype=np.uint8)
+    _, _, bad, values = _tokenize_block(block)
     assert not bad.any()
     assert values.tolist() == [int(t) for t in tokens]
 
@@ -530,6 +583,56 @@ def _outcome(parse, text):
 @given(mutated_palog())
 def test_palog_parse_matches_per_line_oracle(text):
     assert _outcome(parse_palog, text) == _outcome(parse_palog_by_line, text)
+
+
+def _random_log(n, m, seed):
+    arrival = np.repeat(np.arange(2, n + 1, dtype=np.int64), m)
+    targets = (np.random.default_rng(seed).random(len(arrival)) * arrival).astype(np.int64)
+    return AttachmentLog(n, m, targets)
+
+
+def test_palog_parse_memory_is_the_targets_and_one_block():
+    # Blocks go straight into the log's targets array, so the peak is the
+    # targets plus one block's temporaries (about 5.8 MB here); the text,
+    # its values and its line offsets are never whole-text arrays (12 MB).
+    # Text with CR line ends is cut into blocks at its CRs.
+    g = _random_log(10**5, 3, 1)
+    for end in ("\n", "\r"):
+        text = format_palog(g).replace("\n", end)
+        parse_palog(text)  # warm
+        tracemalloc.start()
+        try:
+            back = parse_palog(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == g
+        assert peak < 3 * g.targets.nbytes
+
+
+def test_palog_line_longer_than_a_block():
+    wide = " " * (3 << 17)
+    g = from_rows(3, 2, {2: [1, 0], 3: [2, 2]})
+    text = f"PALOG v1 n=3 m=2\n2{wide}1 0\n3 2{wide}2\n"
+    assert parse_palog(text) == g
+    with pytest.raises(PalogError, match=re.escape("unparsable arrival line: '3 2 ")):
+        parse_palog(text.replace(f"{wide}2\n", f"{wide}x\n"))
+
+
+def test_palog_errors_across_blocks():
+    # The text fills several blocks.  A bad line near the end is reported by
+    # its own text, unless the line count is also wrong, which comes first.
+    g = _random_log(60_000, 2, 2)
+    lines = format_palog(g).split("\n")
+    assert len("\n".join(lines[:50_000])) > 4 * _PARSE_BLOCK_BYTES
+    lines[50_000] += "x"
+    with pytest.raises(PalogError, match=re.escape(f"unparsable arrival line: '{lines[50_000]}'")):
+        parse_palog("\n".join(lines))
+    del lines[5]  # arrival 6
+    with pytest.raises(MissingRow, match="expected 59999 arrival lines, found 59998"):
+        parse_palog("\n".join(lines))
+    with pytest.raises(MissingRow, match="arrival line 7 where 6 was expected"):
+        parse_palog("\n".join(lines + ["60001 0 0"]))
 
 
 def test_palog_grammar():

@@ -262,6 +262,31 @@ def test_second_moment_probe_small_run():
     assert mc2.estimate <= 1.0
 
 
+def test_second_moment_log_estimate_is_the_log_of_the_estimate():
+    mc = second_moment_probe(200, 1, 1.0, 2.0, 196, 170, 1.0, 60, seed=58)
+    assert 0 < mc.auxiliaries["p0_bn"] < 1
+    assert mc.auxiliaries["log_estimate"] == pytest.approx(math.log(mc.estimate), rel=1e-13)
+    # no replicate in B: the mean is 0 and its log -inf
+    none = second_moment_probe(200, 1, 0.0, 1.0, 196, 170, 1.0, 5, seed=5)
+    assert none.auxiliaries["p0_bn"] == 0.0 and none.estimate == 0.0
+    assert none.auxiliaries["log_estimate"] == -math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the stderr of an inf sample
+def test_second_moment_log_estimate_past_float_range(monkeypatch):
+    # Y = e^400 is a float, Y^2 = e^800 is not: the estimate reads inf, its
+    # log is still the number 800 + log(3/4) when three of four are in B
+    from pacp import reduction
+
+    in_b = iter([True, False, True, True])
+    monkeypatch.setattr(reduction, "log_permuted_lr", lambda ctx: 400.0)
+    monkeypatch.setattr(reduction, "event_bn", lambda ctx: next(in_b))
+    mc = second_moment_probe(200, 1, 1.0, 2.0, 196, 170, 1.0, 4, seed=58)
+    assert mc.estimate == math.inf
+    assert mc.per_replicate["y"].tolist() == [math.exp(400.0)] * 4
+    assert mc.auxiliaries["log_estimate"] == pytest.approx(800.0 + math.log(0.75), rel=1e-15)
+
+
 def test_event_bn_probe_small_run():
     mc = event_bn_failure_probe(300, 1, 1.0, 2.0, 295, 250, 2.0, 50, seed=60)
     assert 0 <= mc.estimate <= 1
@@ -333,6 +358,20 @@ def test_martingale_probe_rate_underflow_is_unsupported(monkeypatch):
     assert azuma_rate(1000, -999.0, 1e6) == 0.0
     with pytest.raises(UnsupportedRegime):
         martingale_tail_probe(200, 1000, -999.0, 1e6, 10, 2, seed=1)
+
+
+def test_martingale_probe_mean_weight_underflow_is_unsupported(monkeypatch):
+    # m_n = mean of prod_i S(d1)/S(d0) over late arrivals is about
+    # (1001/3000)^1000: it underflows to 0, and so would every weight
+    from pacp import reduction
+
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("a replicate ran before m_n was checked")
+
+    monkeypatch.setattr(reduction.campaign, "run_replicates", no_replicates)
+    assert azuma_rate(1000, 1000.0, -999.0) > 0
+    with pytest.raises(UnsupportedRegime, match="m_n"):
+        martingale_tail_probe(200, 1000, 1000.0, -999.0, 100, 2, seed=1)
 
 
 def test_martingale_probe_trivial_and_small_run():
