@@ -45,7 +45,7 @@ from .reduction import (
     permuted_lr,
     second_moment_probe,
 )
-from .simulation import DeltaProfile, simulate
+from .simulation import DeltaProfile, simulate, simulate_many
 from .theory import (
     DegreeLaw,
     MomentCoeffs,
@@ -107,6 +107,7 @@ __all__ = [
     "score_limit",
     "second_moment_probe",
     "simulate",
+    "simulate_many",
     "substep_degrees",
     "__version__",
 ]

@@ -2,7 +2,8 @@
 
 Replicate r of a campaign derives its random stream from (master_seed, r), so
 results are a pure function of the configuration and master seed: the same
-summary comes back whatever the parallelism degree or scheduling order.
+summary comes back whatever the parallelism degree, the chunking or the
+scheduling order.
 """
 
 from __future__ import annotations
@@ -32,31 +33,29 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def _run_chunk(worker, indices, args):
-    return [worker(r, *args) for r in indices]
+    records = list(worker(indices, *args))
+    if len(records) != len(indices):
+        raise ValueError(f"worker returned {len(records)} records for {len(indices)} replicates")
+    return records
 
 
 def run_replicates(worker, replicates: int, *, args=(), threads: int = 1) -> list:
-    """Run ``worker(r, *args)`` for r = 0..replicates-1 and return the results
-    in replicate order.
+    """Run ``worker(indices, *args)`` over the replicates 0..replicates-1 and
+    return its records in replicate order.
 
+    The replicates are cut into one chunk per worker process, or a single
+    chunk when serial, and ``worker`` returns one record per index of its
+    chunk, so it can simulate a whole chunk's graphs in one batch.
     ``worker`` must be a module-level function (process pools pickle it by
-    reference) and must derive all randomness from r so that the thread count
-    cannot change any result.
+    reference) and must derive all randomness from each replicate's index,
+    so that the thread count cannot change any result.
     """
     if replicates < 1:
         raise ValueError(f"need at least one replicate, got {replicates}")
-    threads = max(1, int(threads))
-    if threads == 1 or replicates == 1:
-        return [worker(r, *args) for r in range(replicates)]
-    chunks = np.array_split(np.arange(replicates), min(4 * threads, replicates))
-    out: list = [None] * replicates
+    threads = min(max(1, int(threads)), replicates)
+    if threads == 1:
+        return _run_chunk(worker, list(range(replicates)), args)
+    chunks = np.array_split(np.arange(replicates), threads)
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            (chunk, pool.submit(_run_chunk, worker, chunk.tolist(), args))
-            for chunk in chunks
-            if len(chunk)
-        ]
-        for chunk, fut in futures:
-            for r, rec in zip(chunk.tolist(), fut.result()):
-                out[r] = rec
-    return out
+        futures = [pool.submit(_run_chunk, worker, chunk.tolist(), args) for chunk in chunks]
+        return [record for future in futures for record in future.result()]

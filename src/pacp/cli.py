@@ -23,7 +23,7 @@ from . import __version__, campaign, errors, reduction, theory
 from .graph import load_palog, save_palog
 from .inference import localize_tau, lr_test, mle, plugin_lr_test
 from .likelihood import log_likelihood, log_lr, safe_exp
-from .simulation import DeltaProfile, simulate
+from .simulation import DeltaProfile, simulate, simulate_many
 
 OUTPUT_VERSION = "v1"
 
@@ -201,26 +201,31 @@ def _cmd_mle(args):
     return result, None, None
 
 
-def _test_replicate(r, n, m, tau, delta0, delta1, mode, seed):
-    rec = {"replicate": r}
-    for h in (0, 1):
-        profile = (
-            DeltaProfile.constant(delta0) if h == 0 else DeltaProfile.step(delta0, delta1, tau)
-        )
-        g = simulate(n, m, profile, (seed, h, r))
-        try:
-            if mode == "known":
-                verdict = lr_test(g, tau, delta0, delta1)
-            else:
-                verdict = plugin_lr_test(g, tau)
-            rec[f"h{h}_statistic"] = verdict.statistic
-            rec[f"h{h}_reject"] = verdict.reject
-            rec[f"h{h}_abstain"] = False
-        except errors.NoInteriorRoot:
-            rec[f"h{h}_statistic"] = None
-            rec[f"h{h}_reject"] = None
-            rec[f"h{h}_abstain"] = True
-    return rec
+def _test_replicates(indices, n, m, tau, delta0, delta1, mode, seed):
+    profiles = (DeltaProfile.constant(delta0), DeltaProfile.step(delta0, delta1, tau))
+    graphs = simulate_many(
+        n, m, [profiles[h] for _ in indices for h in (0, 1)],
+        [(seed, h, r) for r in indices for h in (0, 1)],
+    )
+    records = []
+    for r in indices:
+        rec = {"replicate": r}
+        for h in (0, 1):
+            g = next(graphs)
+            try:
+                if mode == "known":
+                    verdict = lr_test(g, tau, delta0, delta1)
+                else:
+                    verdict = plugin_lr_test(g, tau)
+                rec[f"h{h}_statistic"] = verdict.statistic
+                rec[f"h{h}_reject"] = verdict.reject
+                rec[f"h{h}_abstain"] = False
+            except errors.NoInteriorRoot:
+                rec[f"h{h}_statistic"] = None
+                rec[f"h{h}_reject"] = None
+                rec[f"h{h}_abstain"] = True
+        records.append(rec)
+    return records
 
 
 def summarize_test_campaign(rows: list[dict]) -> dict:
@@ -263,7 +268,7 @@ def _cmd_test(args):
     _check_tau(args.tau, args.n - 1, lo=1)
     threads = campaign.resolve_threads(args.threads)
     rows = campaign.run_replicates(
-        _test_replicate,
+        _test_replicates,
         args.replicates,
         args=(args.n, args.m, args.tau, args.delta0, args.delta1, args.mode, args.seed),
         threads=threads,
@@ -289,10 +294,14 @@ def _cmd_test(args):
     return result, args.seed, csv_rows
 
 
-def _localize_replicate(r, n, m, tau, delta0, delta1, seed):
-    g = simulate(n, m, DeltaProfile.step(delta0, delta1, tau), (seed, r))
-    tau_hat, _ = localize_tau(g, delta0, delta1)
-    return {"replicate": r, "tau_hat": tau_hat, "abs_err": abs(tau_hat - tau)}
+def _localize_replicates(indices, n, m, tau, delta0, delta1, seed):
+    profile = DeltaProfile.step(delta0, delta1, tau)
+    graphs = simulate_many(n, m, [profile] * len(indices), [(seed, r) for r in indices])
+    records = []
+    for r, g in zip(indices, graphs):
+        tau_hat, _ = localize_tau(g, delta0, delta1)
+        records.append({"replicate": r, "tau_hat": tau_hat, "abs_err": abs(tau_hat - tau)})
+    return records
 
 
 def _cmd_localize(args):
@@ -319,7 +328,7 @@ def _cmd_localize(args):
     _check_tau(args.tau, args.n)
     threads = campaign.resolve_threads(args.threads)
     rows = campaign.run_replicates(
-        _localize_replicate,
+        _localize_replicates,
         args.replicates,
         args=(args.n, args.m, args.tau, args.delta0, args.delta1, args.seed),
         threads=threads,

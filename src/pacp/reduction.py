@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, PreconditionViolated, UnsupportedRegime, check_domain
 from .graph import AttachmentLog, BoldSet, bold_vertices
 from .likelihood import _log_s_ratio, arrival_log_weights, safe_exp
-from .simulation import DeltaProfile, simulate
+from .simulation import DeltaProfile, simulate_many
 from .theory import mean_weight_mn
 from . import campaign
 
@@ -241,11 +241,26 @@ class McResult:
     per_replicate: dict = field(repr=False, default_factory=dict)
 
 
+# Past this magnitude a sample's squared deviations can leave float range.
+_SE_SCALE_FROM = 2.0**480
+
+
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (NaN for one value).  A sample
+    holding inf has an infinite error; a finite sample with values past
+    ``_SE_SCALE_FROM`` is divided by its largest magnitude first, so neither
+    overflows on the way."""
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    se = float(x.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return float(x.mean()), se
+    if np.isinf(x).any():
+        return float(x.mean()), math.inf if n > 1 else float("nan")
+    scale = float(np.abs(x).max())
+    if scale <= _SE_SCALE_FROM:
+        scale, y = 1.0, x
+    else:
+        y = x / scale
+    se = float(y.std(ddof=1) / math.sqrt(n)) * scale if n > 1 else float("nan")
+    return float(y.mean()) * scale, se
 
 
 def _check_regime(delta0: float) -> None:
@@ -266,16 +281,24 @@ def second_moment_bound_log_rhs(
     )
 
 
-def _second_moment_replicate(r, n, m, delta0, delta1, tau, tau_prime, alpha, seed):
-    g = simulate(n, m, DeltaProfile.constant(delta0), (seed, r))
-    ctx = ReductionContext.build(g, tau, tau_prime, alpha, delta0, delta1)
-    log_y = log_permuted_lr(ctx)
-    y = safe_exp(log_y)
-    b = event_bn(ctx)
-    return {
-        "y": y, "log_y": log_y, "bn": bool(b), "y2_bn": y * y if b else 0.0,
-        "y_bn": y if b else 0.0,
-    }
+def _replicate_graphs(indices, n, m, profile, seed):
+    """Replicate r's graph under ``profile`` from stream (seed, r), for each
+    r of a campaign chunk, in order."""
+    return simulate_many(n, m, [profile] * len(indices), [(seed, r) for r in indices])
+
+
+def _second_moment_replicates(indices, n, m, delta0, delta1, tau, tau_prime, alpha, seed):
+    records = []
+    for g in _replicate_graphs(indices, n, m, DeltaProfile.constant(delta0), seed):
+        ctx = ReductionContext.build(g, tau, tau_prime, alpha, delta0, delta1)
+        log_y = log_permuted_lr(ctx)
+        y = safe_exp(log_y)
+        b = event_bn(ctx)
+        records.append({
+            "y": y, "log_y": log_y, "bn": bool(b), "y2_bn": y * y if b else 0.0,
+            "y_bn": y if b else 0.0,
+        })
+    return records
 
 
 def _log_mean_exp(log_terms: list[float], count: int) -> float:
@@ -333,7 +356,7 @@ def second_moment_probe(
         raise PreconditionViolated(failures)
 
     rows = campaign.run_replicates(
-        _second_moment_replicate,
+        _second_moment_replicates,
         replicates,
         args=(n, m, delta0, delta1, tau, tau_prime, alpha, seed),
         threads=threads,
@@ -366,10 +389,12 @@ def second_moment_probe(
     )
 
 
-def _event_bn_replicate(r, n, m, delta0, delta1, tau, tau_prime, alpha, seed):
-    g = simulate(n, m, DeltaProfile.step(delta0, delta1, tau), (seed, r))
-    ctx = ReductionContext.build(g, tau, tau_prime, alpha, delta0, delta1)
-    return {"bn_fail": not event_bn(ctx), "bold": ctx.bold.size, "bold_late": ctx.r}
+def _event_bn_replicates(indices, n, m, delta0, delta1, tau, tau_prime, alpha, seed):
+    records = []
+    for g in _replicate_graphs(indices, n, m, DeltaProfile.step(delta0, delta1, tau), seed):
+        ctx = ReductionContext.build(g, tau, tau_prime, alpha, delta0, delta1)
+        records.append({"bn_fail": not event_bn(ctx), "bold": ctx.bold.size, "bold_late": ctx.r})
+    return records
 
 
 def event_bn_failure_probe(
@@ -393,7 +418,7 @@ def event_bn_failure_probe(
     if tau_prime < 2:
         raise PreconditionViolated([f"tau_prime >= 2 required, got {tau_prime}"])
     rows = campaign.run_replicates(
-        _event_bn_replicate,
+        _event_bn_replicates,
         replicates,
         args=(n, m, delta0, delta1, tau, tau_prime, alpha, seed),
         threads=threads,
@@ -436,10 +461,12 @@ def azuma_rate(m: int, delta0: float, delta1: float) -> float:
     return 0.125 * safe_exp(-2.0 * m * log_ratio)
 
 
-def _martingale_replicate(r, n, m, delta0, delta1, tau_prime, seed):
-    g = simulate(n, m, DeltaProfile.constant(delta0), (seed, r))
-    log_w = arrival_log_weights(g, tau_prime + 1, delta0, delta1)
-    return {"z": float(np.exp(log_w).mean())}
+def _martingale_replicates(indices, n, m, delta0, delta1, tau_prime, seed):
+    records = []
+    for g in _replicate_graphs(indices, n, m, DeltaProfile.constant(delta0), seed):
+        log_w = arrival_log_weights(g, tau_prime + 1, delta0, delta1)
+        records.append({"z": float(np.exp(log_w).mean())})
+    return records
 
 
 def martingale_tail_probe(
@@ -483,7 +510,7 @@ def martingale_tail_probe(
     if not 0.0 < mn < math.inf:
         raise UnsupportedRegime(f"the mean weight m_n = {mn} is outside float range")
     rows = campaign.run_replicates(
-        _martingale_replicate,
+        _martingale_replicates,
         replicates,
         args=(n, m, delta0, delta1, tau_prime, seed),
         threads=threads,

@@ -409,24 +409,29 @@ def test_campaign_summary_and_csv(tmp_path, capsys):
 
 
 def test_campaign_bytes_identical_across_thread_counts(tmp_path):
-    # spawn real processes so the parallel path is exercised end to end
-    outputs = []
-    for threads, sub in ((1, "a"), (3, "b")):
-        d = tmp_path / sub
-        d.mkdir()
-        cmd = [
-            sys.executable, "-m", "pacp.cli", "test", "--mode", "known", "--n", "200", "--m",
-            "1", "--tau", "150", "--delta0", "0", "--delta1", "2", "--replicates", "16",
-            "--seed", "5", "--threads", str(threads), "--out", "summary.json", "--csv",
-            "reps.csv",
-        ]
-        env = {k: v for k, v in os.environ.items() if k != "PACP_THREADS"}
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(cmd, cwd=d, capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append((d / "summary.json").read_bytes() + (d / "reps.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+    # spawn real processes so the parallel path is exercised end to end; 49
+    # replicates split unevenly over 2 and 3 workers, and the chunks of 1 and
+    # 2 workers are large enough to simulate in batches while those of 3 are not
+    common = ["--n", "200", "--m", "1", "--tau", "150", "--delta0", "0", "--delta1", "2",
+              "--replicates", "49", "--seed", "5", "--out", "summary.json", "--csv", "reps.csv"]
+    commands = {
+        "known": ["test", "--mode", "known"],
+        "plugin": ["test", "--mode", "plugin"],
+        "localize": ["localize"],
+    }
+    env = {k: v for k, v in os.environ.items() if k != "PACP_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for name, command in commands.items():
+        outputs = []
+        for threads in (1, 2, 3):
+            d = tmp_path / f"{name}-{threads}"
+            d.mkdir()
+            cmd = [sys.executable, "-m", "pacp.cli", *command, *common, "--threads", str(threads)]
+            proc = subprocess.run(cmd, cwd=d, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((d / "summary.json").read_bytes() + (d / "reps.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2], name
 
 
 def test_threads_env_override(tmp_path, monkeypatch, capsys):
@@ -462,9 +467,9 @@ def test_replicates_one_equals_direct_run(capsys):
         capsys,
     )
     assert code == 0
-    from pacp.cli import _test_replicate, summarize_test_campaign
+    from pacp.cli import _test_replicates, summarize_test_campaign
 
-    direct = summarize_test_campaign([_test_replicate(0, 100, 1, 80, 0.0, 2.0, "known", 4)])
+    direct = summarize_test_campaign(_test_replicates([0], 100, 1, 80, 0.0, 2.0, "known", 4))
     res = dict(payload["result"])
     res.pop("mode")
     assert res == direct

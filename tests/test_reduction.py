@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -272,17 +273,23 @@ def test_second_moment_log_estimate_is_the_log_of_the_estimate():
     assert none.auxiliaries["log_estimate"] == -math.inf
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the stderr of an inf sample
 def test_second_moment_log_estimate_past_float_range(monkeypatch):
     # Y = e^400 is a float, Y^2 = e^800 is not: the estimate reads inf, its
-    # log is still the number 800 + log(3/4) when three of four are in B
+    # log is still the number 800 + log(3/4) when three of four are in B;
+    # the inf sample's standard error is inf, and nothing warns
     from pacp import reduction
 
     in_b = iter([True, False, True, True])
     monkeypatch.setattr(reduction, "log_permuted_lr", lambda ctx: 400.0)
     monkeypatch.setattr(reduction, "event_bn", lambda ctx: next(in_b))
-    mc = second_moment_probe(200, 1, 1.0, 2.0, 196, 170, 1.0, 4, seed=58)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mc = second_moment_probe(200, 1, 1.0, 2.0, 196, 170, 1.0, 4, seed=58)
     assert mc.estimate == math.inf
+    assert mc.stderr == math.inf
+    # Y 1_B = e^400 (1, 0, 1, 1): its squared deviations pass float range,
+    # its standard error is still the number e^400 / 4
+    assert mc.auxiliaries["stderr_y_bn"] == pytest.approx(math.exp(400.0) / 4, rel=1e-14)
     assert mc.per_replicate["y"].tolist() == [math.exp(400.0)] * 4
     assert mc.auxiliaries["log_estimate"] == pytest.approx(800.0 + math.log(0.75), rel=1e-15)
 

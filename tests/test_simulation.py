@@ -1,14 +1,16 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pacp import AttachmentLog, DeltaProfile, simulate
+from pacp import AttachmentLog, DeltaProfile, simulate, simulate_many
+from pacp import simulation
 from pacp.errors import DomainError
 from pacp.likelihood import log_likelihood
-from pacp.simulation import _attach_kernel
+from pacp.simulation import _attach_batch, _attach_kernel
 
 from helpers import (
     attach_kernel_float_tree,
@@ -115,6 +117,17 @@ def test_stream_digest_constant_m1():
     assert digest == "11f5fa2f776d96e003880249daddf4f0c58323975977c601923976ed7d64d459"
 
 
+class FixedStream:
+    """Serves a fixed array of uniforms in order, as ``Generator.random`` does."""
+
+    def __init__(self, u):
+        self.u, self.pos = u, 0
+
+    def random(self, size):
+        self.pos += size
+        return self.u[self.pos - size : self.pos]
+
+
 # (n, m, k0, k1, tau, seed, draws that reach the guard), delta = -m + k/30
 GUARD_CASES = [
     (40, 1, 22, 22, 40, 5, [3, 8]),  # constant -4/15
@@ -140,6 +153,68 @@ def test_guard_repair_keeps_the_stream(case):
     assert fired == guarded and guarded[-1] < len(u) - 1
     assert np.array_equal(attach_kernel_float_tree(n, m, d0, d1, tau, u), expected)
     assert np.array_equal(_attach_kernel(n, m, d0, d1, tau, u), expected)
+    # the batched kernel, beside a lane of another law on its own stream
+    other = np.random.default_rng(seed + 1).random(len(u))
+    lanes = _attach_batch(
+        n, m, np.array([d0, 1.0]), np.array([d1, 1.0]), np.array([tau, n]),
+        [FixedStream(u), FixedStream(other)],
+    )
+    assert np.array_equal(lanes[0], expected)
+    assert np.array_equal(lanes[1], _attach_kernel(n, m, 1.0, 1.0, n, other))
+
+
+R0 = simulation._BATCH_MIN_ROWS
+
+
+@pytest.mark.parametrize(
+    "rows, batches", [(R0 - 1, 0), (R0, 1), (2 * R0 + 1, 2)], ids=["R0-1", "R0", "split"]
+)
+@settings(max_examples=30)
+@given(case=stream_cases(), data=st.data())
+def test_simulate_many_matches_simulate(rows, batches, case, data):
+    # one batch mixes constant and step rows of one size, each delta -m + k/30
+    # as in stream_cases; uniforms come in blocks of 64, so the block refill
+    # runs, and in the last case a budget of R0 + 1 lanes splits the rows
+    n, m, profile, seed = case
+    # the k of stream_cases, 1, 2, 4, 5, ..., 30 (m + 5) - 1, without a filter
+    ks = st.integers(0, 20 * (m + 5) - 1).map(lambda j: 3 * (j // 2) + 1 + j % 2)
+    deltas = ks.map(lambda k: -m + k / 30)
+    profiles, seeds = [profile], [seed]
+    for r in range(1, rows):
+        d0 = data.draw(deltas)
+        if r % 2:
+            profiles.append(DeltaProfile.constant(d0))
+        else:
+            tau = data.draw(st.integers(0, n))
+            profiles.append(DeltaProfile.step(d0, data.draw(deltas), tau))
+        seeds.append((seed, r))
+    budget = (R0 + 1) * simulation._row_bytes(n, m)
+    with (
+        mock.patch.object(simulation, "_UNIFORM_BLOCK", 64),
+        mock.patch.object(simulation, "_BATCH_BYTES", budget),
+        mock.patch.object(simulation, "_attach_batch", wraps=_attach_batch) as batch,
+    ):
+        logs = list(simulate_many(n, m, profiles, seeds))
+    assert batch.call_count == (batches if n > 1 else 0)
+    assert logs == [simulate(n, m, p, s) for p, s in zip(profiles, seeds)]
+
+
+def test_simulate_many_past_the_sentinel_runs_the_scalar_kernel():
+    # at delta = 1e308 the closed-form total overflows to inf, and inf times
+    # the batched kernel's 0 mask would be NaN: such a batch must fall back
+    n, rows = 50, R0
+    profiles = [DeltaProfile.constant(1e308)] * (rows - 1) + [DeltaProfile.step(0.5, 1e300, 25)]
+    seeds = [(31, r) for r in range(rows)]
+    logs = list(simulate_many(n, 1, profiles, seeds))
+    assert logs == [simulate(n, 1, p, s) for p, s in zip(profiles, seeds)]
+
+
+def test_simulate_many_checks_its_arguments():
+    with pytest.raises(DomainError):
+        simulate_many(10, 1, [DeltaProfile.constant(0.0), DeltaProfile.constant(-1.0)], [1, 2])
+    with pytest.raises(ValueError):
+        simulate_many(10, 1, [DeltaProfile.constant(0.0)], [1, 2])
+    assert list(simulate_many(10, 1, [], [])) == []
 
 
 def test_empirical_law_matches_likelihood_chisquare():
