@@ -208,22 +208,10 @@ _MAX_TOKEN_CHARS = 18
 _HEADER = re.compile(
     rb"PALOG[ \t]+v1[ \t]+([nm])=([+-]?[0-9]+)[ \t]+([nm])=([+-]?[0-9]+)[ \t]*"
 )
-# How each kind of input is read: parse_palog's str and load_palog's file
-# bytes.  Per kind: its leading blanks, its line breaks (as a pattern, and
-# CR and LF), and how a block becomes ASCII bytes, one per character.
-# Every non-ASCII character, and every byte above 0x7F, becomes "?", so a
-# file that is not text reaches the tokenizer, which rejects the lines
-# holding one.
-_ASCII_OR_QMARK = bytes(range(128)) + b"?" * 128
-_TEXT = (
-    re.compile(r"[ \t\r\n]*"), re.compile(r"[\r\n]"), ("\r", "\n"),
-    lambda piece: piece.encode("ascii", errors="replace"),
-)
-_FILE = (
-    re.compile(rb"[ \t\r\n]*"), re.compile(rb"[\r\n]"), (b"\r", b"\n"),
-    lambda piece: piece.translate(_ASCII_OR_QMARK),
-)
-_LINE_BREAK = _FILE[1]
+# The text's leading blanks and line breaks, and a block's line breaks.
+_LEADING_BLANKS = re.compile(r"[ \t\r\n]*")
+_LINE_BREAK_TEXT = re.compile(r"[\r\n]")
+_LINE_BREAK = re.compile(rb"[\r\n]")
 
 
 def _digit_words() -> np.ndarray:
@@ -319,35 +307,30 @@ def parse_palog(text: str) -> AttachmentLog:
     (``MissingRow``), a row without exactly m targets (``WrongOutDegree``);
     last a negative target (``PalogError``) or a target >= its arrival
     (``TargetTooLarge``).
+
+    The arrival lines are read a block at a time: each block is encoded as
+    ASCII, with every other character as "?" so the tokenizer rejects its
+    line, then tokenized and its lines checked, and its targets go straight
+    into the log's targets array, so no other array spans the text.  The
+    first failed line check is kept while the remaining lines are only
+    counted, since a wrong line count is reported first.  At n = 1e5, m = 3
+    the tracemalloc peak is the 2.4 MB of targets and one block's
+    temporaries, 5.8 MB in all, where tokenizing the whole text at once took
+    12.1 MB.
     """
-    return _parse_palog(text, _TEXT)
-
-
-def _parse_palog(text, kind) -> AttachmentLog:
-    """``parse_palog`` of ``text``, read as ``kind`` (``_TEXT`` or ``_FILE``).
-
-    The arrival lines are read a block at a time: each block is converted,
-    tokenized and its lines checked, and its targets go straight into the
-    log's targets array, so no other array spans the text.  The first
-    failed line check is kept while the remaining lines are only counted,
-    since a wrong line count is reported first.  At n = 1e5, m = 3 the
-    tracemalloc peak is the 2.4 MB of targets and one block's temporaries,
-    5.8 MB in all, where tokenizing the whole text at once took 12.1 MB.
-    """
-    leading_blanks, line_break, _, to_ascii = kind
-    start = leading_blanks.match(text).end()
+    start = _LEADING_BLANKS.match(text).end()
     if start == len(text):
         raise PalogError("empty PALOG input")
-    brk = line_break.search(text, start)
+    brk = _LINE_BREAK_TEXT.search(text, start)
     body = brk.start() if brk else len(text)
-    n, m = _parse_header(to_ascii(text[start:body]))
+    n, m = _parse_header(text[start:body].encode("ascii", errors="replace"))
     # Each line of m + 1 tokens takes 2m + 1 characters after a line break.
     # When n - 1 of them do not fit, some check below fails, so a huge n is
     # never allocated.
     fits = (n - 1) * (2 * m + 2) <= len(text) - body
     targets = np.empty((n - 1) * m, dtype=np.int64) if fits else None
     rows, error = 0, None
-    for block in _blocks(text, body, kind):
+    for block in _blocks(text, body):
         starts, first, bad, values = _tokenize_block(np.frombuffer(block, dtype=np.uint8))
         lines = len(first)
         if error is None:
@@ -374,21 +357,20 @@ def _parse_header(line: bytes) -> tuple[int, int]:
     return n, m
 
 
-def _blocks(text, pos: int, kind):
+def _blocks(text: str, pos: int):
     """``text[pos:]``, which starts at a line break, as consecutive ASCII
     blocks of about ``_PARSE_BLOCK_BYTES``.  Blocks end just after an LF, or
     after a CR where no LF is near, so no line is split; a line longer than
     a block ends its own block."""
-    _, line_break, (cr, lf), to_ascii = kind
     while pos < len(text):
         end = len(text)
         if end - pos > _PARSE_BLOCK_BYTES:
             cut = pos + _PARSE_BLOCK_BYTES
-            end = text.rfind(lf, pos, cut) + 1 or text.rfind(cr, pos, cut) + 1
+            end = text.rfind("\n", pos, cut) + 1 or text.rfind("\r", pos, cut) + 1
             if not end:  # one line longer than a block
-                brk = line_break.search(text, cut)
+                brk = _LINE_BREAK_TEXT.search(text, cut)
                 end = brk.end() if brk else len(text)
-        yield to_ascii(text[pos:end])
+        yield text[pos:end].encode("ascii", errors="replace")
         pos = end
 
 
@@ -514,9 +496,13 @@ def save_palog(g: AttachmentLog, path) -> None:
 
 
 def load_palog(path) -> AttachmentLog:
+    """``parse_palog`` of a file read one character per byte, so a file that
+    is not text is a ``PalogError``.  Latin-1 keeps a byte above 0x7F one
+    character, which its block reads as "?", and the text one byte per
+    character, where a U+FFFD would make it two bytes per character."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    return _parse_palog(data, _FILE)
+        text = fh.read().decode("latin-1")
+    return parse_palog(text)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +538,8 @@ def _tail_from_degrees(degrees: np.ndarray, m: int) -> np.ndarray:
     # tail[j] = #{v : d(v) > m+j}; suffix-sum of the degree histogram.
     counts = np.bincount(degrees - m)
     above = counts[::-1].cumsum()[::-1]
-    return above[1:].astype(np.int64)  # drop k = m-? ; above[j+1] = #{d-m > j}
+    # above[i] = #{d >= m+i}: keep above[j+1] = #{d > m+j}, not above[0] (all)
+    return above[1:].astype(np.int64)
 
 
 def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -170,9 +170,9 @@ def log_likelihood(g: AttachmentLog, profile: DeltaProfile) -> LogLik:
     if n == 1:
         return LogLik(0.0, 0.0, 0.0, 0.0)
     log_comb = (n - 1) * math.lgamma(m + 1) - _log_mult_sum(g)
-    tau = profile.tau if profile.is_step else n
+    delta0, delta1, tau = profile.law(n)
     num = norm = 0.0
-    for lo, hi, delta in ((1, tau, profile.delta0), (tau + 1, n, profile.delta1)):
+    for lo, hi, delta in ((1, tau, delta0), (tau + 1, n, delta1)):
         if lo <= hi:
             diff = window_tail_diff(g, lo, hi)
             num += math.fsum((diff * _log_degree(m, len(diff), delta)).tolist())

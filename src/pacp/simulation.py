@@ -83,7 +83,19 @@ class DeltaProfile:
         if (self.delta1 is None) != (self.tau is None):
             raise DomainError("step profiles need both delta1 and tau")
 
-    def validate(self, n: int, m: int) -> None:
+    def law(self, n: int) -> tuple[float, float, int]:
+        """(delta0, delta1, tau) over arrivals 2..n; a constant profile is
+        (delta0, delta0, n)."""
+        if self.is_step:
+            return self.delta0, self.delta1, self.tau
+        return self.delta0, self.delta0, n
+
+    def validate(self, n: int, m: int) -> int:
+        """Raise DomainError unless n is an integer >= 1 and the profile lies
+        in the model's domain for m and n; returns n as an int."""
+        if not (isinstance(n, Integral) and n >= 1):
+            raise DomainError(f"n must be an integer >= 1, got {n!r}")
+        n = int(n)
         check_domain(m, delta0=self.delta0)
         if self.is_step:
             check_domain(m, delta1=self.delta1)
@@ -91,6 +103,7 @@ class DeltaProfile:
                 raise DomainError(f"tau must be an integer, got {self.tau!r}")
             if not 0 <= self.tau <= n:
                 raise DomainError(f"tau must lie in 0..{n}, got {self.tau}")
+        return n
 
 
 def _attach_kernel(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndarray:
@@ -237,7 +250,7 @@ def _attach_batch(n: int, m: int, d0, d1, tau, rngs) -> np.ndarray:
 
 def _batchable(n: int, m: int, profiles: Sequence[DeltaProfile]) -> bool:
     """Whether every lane's total weight stays below ``_PAST_POOL``."""
-    top = max(max(p.delta0, p.delta1 if p.is_step else p.delta0) for p in profiles)
+    top = max(max(p.law(n)[:2]) for p in profiles)
     return 2.0 * (2 * m + top) * n < _PAST_POOL
 
 
@@ -251,16 +264,14 @@ def simulate_many(
     trees, uniforms and targets fit in ``_BATCH_BYTES``, and the rows are
     cut into balanced batches under it.  A batch of fewer than
     ``_BATCH_MIN_ROWS`` rows, where numpy's per-call cost outweighs the
-    lanes, runs ``simulate`` row by row.  Every profile is validated before
-    the first graph is drawn.
+    lanes, runs ``simulate`` row by row.  Every profile is validated, with n
+    and m, before the first graph is drawn.
     """
     profiles, seeds = list(profiles), list(seeds)
     if len(profiles) != len(seeds):
         raise ValueError(f"{len(profiles)} profiles for {len(seeds)} seeds")
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
     for profile in profiles:
-        profile.validate(n, m)
+        n = profile.validate(n, m)
     return _simulate_batches(n, m, profiles, seeds)
 
 
@@ -283,14 +294,8 @@ def _simulate_batches(n, m, profiles, seeds):
 
 
 def _batch_logs(n, m, profiles, seeds) -> list[AttachmentLog]:
-    targets = _attach_batch(
-        n,
-        m,
-        np.array([p.delta0 for p in profiles]),
-        np.array([p.delta1 if p.is_step else p.delta0 for p in profiles]),
-        np.array([p.tau if p.is_step else n for p in profiles]),
-        [np.random.default_rng(seed) for seed in seeds],
-    )
+    d0, d1, tau = map(np.array, zip(*(p.law(n) for p in profiles)))
+    targets = _attach_batch(n, m, d0, d1, tau, [np.random.default_rng(seed) for seed in seeds])
     return [AttachmentLog(n, m, row, validate=False) for row in targets]
 
 
@@ -300,11 +305,7 @@ def simulate(n: int, m: int, profile: DeltaProfile, seed) -> AttachmentLog:
     ``seed`` is anything numpy's ``default_rng`` accepts (a 64-bit integer or
     a tuple deriving a replicate stream from a master seed).
     """
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
-    profile.validate(n, m)
+    n = profile.validate(n, m)
     u = np.random.default_rng(seed).random((n - 1) * m)
-    tau = profile.tau if profile.is_step else n
-    d1 = profile.delta1 if profile.is_step else profile.delta0
-    targets = _attach_kernel(n, m, profile.delta0, d1, tau, u)
+    targets = _attach_kernel(n, m, *profile.law(n), u)
     return AttachmentLog(n, m, targets, validate=False)

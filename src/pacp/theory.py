@@ -48,7 +48,9 @@ _BINET = (-3617 / 122400, 1 / 156, -691 / 360360, 1 / 1188, -1 / 1680, 1 / 1260,
 
 def _binet(y):
     """Binet's mu(y) for y >= 16."""
-    return np.polyval(_BINET, 1.0 / (y * y)) / y
+    # From 1e9 on, the series rounds to 1/12; capping y keeps y*y finite
+    z = np.minimum(y, 1e100)
+    return np.polyval(_BINET, 1.0 / (z * z)) / y
 
 
 def _lift(x, h: float):

@@ -16,6 +16,7 @@ from pacp import (
     degree_tail_counts,
     from_rows,
     format_palog,
+    load_palog,
     parse_palog,
     simulate,
     DeltaProfile,
@@ -633,6 +634,44 @@ def test_palog_errors_across_blocks():
         parse_palog("\n".join(lines))
     with pytest.raises(MissingRow, match="arrival line 7 where 6 was expected"):
         parse_palog("\n".join(lines + ["60001 0 0"]))
+
+
+def _read(read, source):
+    try:
+        return read(source)
+    except PalogError as exc:
+        return type(exc), str(exc)
+
+
+def test_load_palog_reads_a_file_as_parse_palog_reads_its_text(tmp_path):
+    # A file is ASCII text with each byte above 0x7F read as one "?", so its
+    # log, or its error's type and message, is parse_palog's of that text.
+    small = format_palog(_random_log(40, 2, 5)).encode("ascii")
+    large = format_palog(_random_log(60_000, 2, 6)).encode("ascii")
+    assert len(large) > 4 * _PARSE_BLOCK_BYTES
+    late = large.index(b"\n50001 ")
+    files = {
+        "lf": small,
+        "crlf": small.replace(b"\n", b"\r\n"),
+        "cr": small.replace(b"\n", b"\r"),
+        "blocks": large,
+        "blocks_crlf": large.replace(b"\n", b"\r\n"),
+        "arrival_byte": small.replace(b"\n3 ", b"\n3 \xe9", 1),
+        "late_arrival_bytes": large[:late] + b" \xc3\xa9" + large[late:],
+        "header_byte": small.replace(b" m=2", b" m=2\xff", 1),
+        "leading_byte": b"\xa0" + small,
+    }
+    for name, data in files.items():
+        path = tmp_path / f"{name}.palog"
+        path.write_bytes(data)
+        text = re.sub(rb"[\x80-\xff]", b"?", data).decode("ascii")
+        expected = _read(parse_palog, text)
+        assert _read(load_palog, path) == expected, name
+        assert isinstance(expected, AttachmentLog) == (max(data) < 0x80), name
+    assert "'3 ?" in _read(load_palog, tmp_path / "arrival_byte.palog")[1]
+    assert _read(load_palog, tmp_path / "header_byte.palog") == (
+        PalogError, "bad PALOG header: 'PALOG v1 n=40 m=2?'"
+    )
 
 
 def test_palog_grammar():

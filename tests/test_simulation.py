@@ -217,6 +217,27 @@ def test_simulate_many_checks_its_arguments():
     assert list(simulate_many(10, 1, [], [])) == []
 
 
+def test_numpy_integer_n_draws_the_int_log_and_other_n_is_a_domain_error():
+    profile = DeltaProfile.constant(0.0)
+    profiles, seeds = [profile] * R0, [(7, r) for r in range(R0)]
+    logs = [simulate(50, 1, profile, s) for s in seeds]
+    assert simulate(np.int64(50), 1, profile, seeds[0]) == logs[0]
+    assert list(simulate_many(np.int64(50), 1, profiles[:1], seeds[:1])) == logs[:1]
+    assert list(simulate_many(np.int64(50), 1, profiles, seeds)) == logs  # the batched kernel
+    for n in (2.5, 50.0, "50", 0):
+        for call in (
+            lambda: simulate(n, 1, profile, 1),
+            lambda: simulate_many(n, 1, [profile], [1]),
+        ):
+            with pytest.raises(DomainError, match="^n must be an integer >= 1, got "):
+                call()
+
+
+def test_profile_law():
+    assert DeltaProfile.constant(0.5).law(9) == (0.5, 0.5, 9)
+    assert DeltaProfile.step(0.5, 2.0, 4).law(9) == (0.5, 2.0, 4)
+
+
 def test_empirical_law_matches_likelihood_chisquare():
     # empirical frequency over the whole support vs exact graph probabilities
     n, m, delta = 5, 1, 0.5

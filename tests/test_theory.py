@@ -178,6 +178,20 @@ def test_pmf_exact_form_to_a_billion():
     assert np.abs(limit_degree_pmf(k, 1, 0.0) / exact - 1).max() <= 1e-13
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", (1e160, 1e300))
+def test_pmf_at_huge_delta_is_the_uniform_attachment_law_without_warnings(delta):
+    # As delta grows attachment turns uniform and the degree law tends to
+    # p_k = (m/(m+1))^(k-m) / (m+1).  Past y = 1.3e154, y*y in Binet's
+    # series overflowed: its value was right, but it warned.
+    for m in (1, 3):
+        law = DegreeLaw(m, delta)
+        k = np.arange(m, 21)
+        geometric = (m / (m + 1)) ** (k - m) / (m + 1)
+        assert np.allclose(law.head(20), geometric, rtol=1e-12, atol=0)
+        assert law.tail(20) == pytest.approx((m / (m + 1)) ** (21 - m), rel=1e-12)
+
+
 def test_pmf_matches_mpmath_loggamma():
     # p_k is exp of a difference of log-gamma ratios of size about
     # h log(k+delta+h), h = 3 + delta/m, so each rounding there costs that
