@@ -20,6 +20,18 @@ When that total exceeds the tree's within its last bit, the descent can run
 past the pool to j = t; the guard then draws t - 1 and moves the hit the pass
 charged to the path of t over to the path of t - 1 with two short walks.
 
+A large graph draws its later arrivals in windows of whole arrivals, each
+one numpy descent with one lane per draw.  A draw's hits are exactly the
+nodes it keeps, so lane b can run ahead of the earlier draws of its window:
+at each level it reads node k as the node's count at the window's start plus
+c, the number of earlier lanes in the window that kept k at this level (a
+lane for which k lies past its pool keeps it too).  c is the fixed point of
+an exclusive count over the lanes that share k, in lane order, and the
+decision is the scalar kernel's float operations in its order, so every
+target is the scalar kernel's.  A window in which a draw reaches the guard
+is redrawn by the scalar loop from the tree as it stood at the window's
+start.
+
 ``simulate_many`` runs the same descent for many graphs of one size at once,
 one numpy lane per graph, and repeats every float operation of the scalar
 kernel in the same order, so each graph's log is the one ``simulate`` gives.
@@ -42,7 +54,7 @@ __all__ = ["DeltaProfile", "simulate", "simulate_many"]
 # The batched kernel pays numpy's per-call cost once per tree level for all
 # of its lanes, so it beats the scalar kernel only from about 32 lanes on
 # (BENCH_pr24.json, n from 100 to 1e4, m = 1 and 3); a batch runs from
-# _BATCH_MIN_ROWS lanes on, and fewer lanes run the scalar kernel.
+# _BATCH_MIN_ROWS lanes on, and fewer lanes run ``simulate`` one by one.
 _BATCH_MIN_ROWS = 48
 # Working memory of one batch: its trees, its block of uniforms and its
 # targets.  Larger campaigns are cut into balanced batches under it.
@@ -50,8 +62,22 @@ _BATCH_BYTES = 64 << 20
 _UNIFORM_BLOCK = 4096
 # A tree node past the pool holds this value: finite, so a masked product
 # with it is 0, and above every lane's total weight, so the descent never
-# steps into it.  A lane whose total can reach it runs the scalar kernel.
+# steps into it.  A lane whose total can reach it runs ``simulate``.
 _PAST_POOL = 2.0**1000
+# A window pays numpy's per-call cost a few times per tree level, so it beats
+# the scalar loop only with about a thousand draws or more.  The scalar loop
+# draws at least the first _WINDOW_FROM arrivals, so a graph of fewer than
+# _WINDOW_FROM + _WINDOW_ARRIVALS arrivals never uses a window; starts from
+# 256 to 1024 read alike from n = 5120 to 2e4 (BENCH_pr27.json).
+_WINDOW_FROM = 1024
+_WINDOW_ARRIVALS = 4096
+
+
+def _check_n(n) -> int:
+    """n as an int; DomainError unless it is an integer >= 1."""
+    if not (isinstance(n, Integral) and n >= 1):
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -93,9 +119,7 @@ class DeltaProfile:
     def validate(self, n: int, m: int) -> int:
         """Raise DomainError unless n is an integer >= 1 and the profile lies
         in the model's domain for m and n; returns n as an int."""
-        if not (isinstance(n, Integral) and n >= 1):
-            raise DomainError(f"n must be an integer >= 1, got {n!r}")
-        n = int(n)
+        n = _check_n(n)
         check_domain(m, delta0=self.delta0)
         if self.is_step:
             check_domain(m, delta1=self.delta1)
@@ -110,19 +134,44 @@ def _attach_kernel(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndar
     """Draw all targets for arrivals 2..n, consuming uniforms in order.
 
     ``tau`` is the last arrival governed by d0; pass tau >= n for a constant
-    profile.  Vertex v lives at tree index v + 1; the descent never reads an
-    index above t, so only the pool 0..t-1 can be drawn.  Each descent adds
-    its hit to the nodes it keeps, which are the drawn vertex's update path.
+    profile.  The scalar loop draws arrivals 2..head, where head is
+    ``_WINDOW_FROM`` plus the remainder that leaves whole windows of
+    ``_WINDOW_ARRIVALS`` arrivals after it.  Each window is one numpy
+    descent, redrawn by the scalar loop if one of its draws reaches the guard.
     """
-    tree = [0] * (n + 1)
     out = np.empty((n - 1) * m, dtype=np.int64)
-    ul = u.tolist()
+    head = n if n <= _WINDOW_FROM else _WINDOW_FROM + (n - _WINDOW_FROM) % _WINDOW_ARRIVALS
+    tree = [0] * (n + 1)
+    _attach_arrivals(tree, n, m, d0, d1, tau, 2, head + 1, u[: (head - 1) * m].tolist(), out)
+    if head == n:
+        return out
+    stale = np.zeros(1 << n.bit_length(), dtype=np.int64)
+    stale[: n + 1] = tree
+    del tree
+    for t in range(head + 1, n + 1, _WINDOW_ARRIVALS):
+        stop = t + _WINDOW_ARRIVALS
+        lo, hi = (t - 2) * m, (stop - 2) * m
+        if not _window_targets(stale, n, m, d0, d1, tau, t, stop, u[lo:hi], out[lo:hi]):
+            _attach_arrivals(stale, n, m, d0, d1, tau, t, stop, u[lo:hi].tolist(), out[lo:hi])
+    return out
+
+
+def _attach_arrivals(
+    tree, n: int, m: int, d0: float, d1: float, tau: int, first: int, stop: int, ul, out
+) -> None:
+    """The scalar loop: draw arrivals first..stop-1 on ``tree``, one uniform
+    of ``ul`` per draw, into ``out``.
+
+    Vertex v lives at tree index v + 1; the descent never reads an index
+    above t, so only the pool 0..t-1 can be drawn.  Each descent adds its hit
+    to the nodes it keeps, which are the drawn vertex's update path.
+    """
     two_m = 2 * m
     halves = [1 << b for b in range(n.bit_length() - 1, -1, -1)]
-    delta = d0 if tau >= 2 else d1
+    delta = d0 if first <= tau else d1
     levels = [(h, h * (m + delta)) for h in halves]
     pos = 0
-    for t in range(2, n + 1):
+    for t in range(first, stop):
         if t == tau + 1:
             delta = d1
             levels = [(h, h * (m + delta)) for h in halves]
@@ -153,7 +202,79 @@ def _attach_kernel(n: int, m: int, d0: float, d1: float, tau: int, u) -> np.ndar
                 j = t - 1
             out[pos] = j
             pos += 1
-    return out
+
+
+# Python floats overflow to inf, and inf times 0 is NaN, without a warning.
+@np.errstate(over="ignore", invalid="ignore")
+def _window_targets(
+    tree, n: int, m: int, d0: float, d1: float, tau: int, first: int, stop: int, u, out
+) -> bool:
+    """Draw arrivals first..stop-1 on ``tree`` as one numpy descent, one lane
+    per draw, into ``out``; False, with ``tree`` and ``out`` untouched, if a
+    lane reaches the guard.
+
+    ``tree`` holds the hit counts at the window's start, padded to a power of
+    two so that every node a descent names exists.  The lanes are kept sorted
+    by (j, lane), so the lanes that read one node at a level form a run.
+    Lane b reads node k as ``tree[k] + c``, with c the earlier lanes of its
+    run that kept k: the fixed point of each run's exclusive count of kept
+    lanes, reached from c = 0 since lane b depends only on the lanes before
+    it.  The window reads a node past a lane's pool too: the node's count is
+    its pooled vertices' hits, and it weighs at least one vertex's m + delta
+    more than they do, so the lane keeps it unless its remaining mass runs
+    past the pool, as at the guard; it then ends at j >= t.  Each level's
+    kept counts, one per run, are added to ``tree`` after the window.
+    """
+    t = np.repeat(np.arange(first, stop), m)
+    delta = np.where(t <= tau, d0, d1)
+    s = ((2 * m + delta) * t - 2 * m + np.tile(np.arange(m), stop - first)) * u
+    rate = m + delta
+    lanes = len(u)
+    index = np.arange(lanes)
+    lane, j = index, np.zeros(lanes, dtype=np.int64)
+    run = np.zeros(lanes, dtype=np.int64)  # each lane's run starts there; None: runs of one
+    last = np.array([lanes - 1])  # the last lane of each run
+    rights = np.zeros(lanes + 1, dtype=np.int64)  # lanes before each one that step right
+    start = np.empty(lanes, dtype=bool)
+    start[0] = True
+    nodes, hits = [], []
+    for h in (1 << b for b in range(n.bit_length() - 1, -1, -1)):
+        k = j + h
+        base = tree[k]
+        aff = h * rate
+        w = base + aff
+        right = w < s
+        if run is None:
+            nodes.append(k)
+            hits.append(~right)
+        else:
+            before = index - run
+            while True:
+                np.cumsum(right, out=rights[1:])
+                c = before - rights[:-1] + rights[run]  # earlier lanes of the run that keep k
+                w = (base + c) + aff
+                again = w < s
+                if np.array_equal(again, right):
+                    break
+                right = again
+            nodes.append(k[last])
+            hits.append(c[last] + ~right[last])
+        s -= np.where(right, w, 0.0)
+        j += h * right
+        if run is not None:
+            order = np.argsort(j, kind="stable")
+            j, s, rate, lane = j[order], s[order], rate[order], lane[order]
+            np.not_equal(j[1:], j[:-1], out=start[1:])
+            if start.all():
+                run = None
+            else:
+                run = np.maximum.accumulate(np.where(start, index, 0))
+                last = np.append(np.flatnonzero(start[1:]), lanes - 1)
+    if (j >= t[lane]).any():
+        return False
+    out[lane] = j
+    tree[np.concatenate(nodes)] += np.concatenate(hits)
+    return True
 
 
 def _attach_batch(n: int, m: int, d0, d1, tau, rngs) -> np.ndarray:
@@ -264,14 +385,15 @@ def simulate_many(
     trees, uniforms and targets fit in ``_BATCH_BYTES``, and the rows are
     cut into balanced batches under it.  A batch of fewer than
     ``_BATCH_MIN_ROWS`` rows, where numpy's per-call cost outweighs the
-    lanes, runs ``simulate`` row by row.  Every profile is validated, with n
-    and m, before the first graph is drawn.
+    lanes, runs ``simulate`` row by row.  n is checked, and every profile
+    validated with n and m, before the first graph is drawn.
     """
     profiles, seeds = list(profiles), list(seeds)
     if len(profiles) != len(seeds):
         raise ValueError(f"{len(profiles)} profiles for {len(seeds)} seeds")
+    n = _check_n(n)
     for profile in profiles:
-        n = profile.validate(n, m)
+        profile.validate(n, m)
     return _simulate_batches(n, m, profiles, seeds)
 
 

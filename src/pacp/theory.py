@@ -88,15 +88,20 @@ def _log_gamma_ratio_step(x0: float, u, h: float):
     b0, lift0, low0 = (float(a) for a in _lift(x0, h))
     v = u + 16.0 * (low - low0)
     log_h = np.log1p(h / big)
-    log_v = np.log1p(v / (b0 + h))
+    # X0 + h and X0 - 1/2 + h overflow past about 9e307; their halves do
+    # not, and halving is exact, so every finite value keeps its bits
+    log_v = np.log1p(0.5 * v / (0.5 * b0 + 0.5 * h))
     stirling = (b0 - 0.5) * math.log1p(h / b0) - (big - 0.5) * log_h - h * log_v
     near = v <= b0
     if near.any():
         w = v[near]
         stirling[near] = (
-            (b0 - 0.5) * np.log1p(w / b0) - w * log_h[near] - (b0 - 0.5 + h) * log_v[near]
+            (b0 - 0.5) * np.log1p(w / b0)
+            - w * log_h[near]
+            - 2.0 * ((0.5 * (b0 - 0.5) + 0.5 * h) * log_v[near])
         )
-    mu = (_binet(big) - _binet(b0)) - (_binet(big + h) - _binet(b0 + h))
+    with np.errstate(over="ignore"):  # Binet's mu is below 1e-309 there, and 0 at inf
+        mu = (_binet(big) - _binet(b0)) - (_binet(big + h) - _binet(b0 + h))
     return (lift - lift0 + stirling + mu).reshape(shape)
 
 
@@ -115,7 +120,8 @@ def limit_degree_pmf(k, m: int, delta: float):
         raise DomainError(f"degree law starts at k = m = {m}")
     r = delta / m
     logp = _log_gamma_ratio_step(m + delta, karr - m, 3.0 + r)
-    out = (2.0 + r) / (m + 2.0 + delta + r) * np.exp(logp)
+    # halved, as in the step, so that the denominator stays finite
+    out = 0.5 * (2.0 + r) / (0.5 * (m + 2.0 + delta) + 0.5 * r) * np.exp(logp)
     return float(out) if np.isscalar(k) or karr.ndim == 0 else out
 
 

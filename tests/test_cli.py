@@ -73,6 +73,16 @@ def test_theory_fields(capsys):
         assert res[key] > 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_theory_at_delta_1e308_prints_finite_p(capsys):
+    # the degree law's Gamma step overflowed here, and every p printed null
+    code, payload = run_cli(["theory", "--m", "1", "--delta0", "1e308"], capsys)
+    assert code == 0
+    p = payload["result"]["p"]
+    assert len(p) == 20 and all(v is not None and math.isfinite(v) for v in p.values())
+    assert p["1"] == pytest.approx(0.5, rel=1e-12)
+
+
 def test_theory_past_the_series_limit_fails_fast(capsys):
     # delta1 = 1e9 needs more than 1e8 series terms at the far endpoint: the
     # rate refuses before summing any node, as a structured DomainError

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from pacp import AttachmentLog, DeltaProfile, simulate, simulate_many
 from pacp import simulation
 from pacp.errors import DomainError
 from pacp.likelihood import log_likelihood
-from pacp.simulation import _attach_batch, _attach_kernel
+from pacp.simulation import _attach_arrivals, _attach_batch, _attach_kernel, _window_targets
 
 from helpers import (
     attach_kernel_float_tree,
@@ -163,6 +165,70 @@ def test_guard_repair_keeps_the_stream(case):
     assert np.array_equal(lanes[1], _attach_kernel(n, m, 1.0, 1.0, n, other))
 
 
+@contextmanager
+def windows(arrivals):
+    """Windows of ``arrivals`` arrivals from the start: the scalar loop draws
+    arrivals 2 to (n - 1) mod arrivals + 1.  Yields the wrapped scalar loop
+    and window."""
+    with (
+        mock.patch.object(simulation, "_WINDOW_FROM", 1),
+        mock.patch.object(simulation, "_WINDOW_ARRIVALS", arrivals),
+        mock.patch.object(simulation, "_attach_arrivals", wraps=_attach_arrivals) as scalar,
+        mock.patch.object(simulation, "_window_targets", wraps=_window_targets) as window,
+    ):
+        yield scalar, window
+
+
+@settings(max_examples=200)
+@given(case=stream_cases(), arrivals=st.integers(1, 8))
+# windows 2..8, 9..15, ..., 58..64: tau = 40 lies inside 37..43, node 8 joins
+# the pool inside 2..8, node 32 inside 30..36 and node 64, which every hit
+# updates, inside 58..64
+@example(case=(64, 3, DeltaProfile.step(0.3, -1.7, 40), 8), arrivals=7)
+def test_window_path_matches_float_tree_oracle(case, arrivals):
+    n, m, profile, seed = case
+    u = np.random.default_rng(seed).random((n - 1) * m)
+    expected = attach_kernel_float_tree(n, m, *profile.law(n), u)
+    with windows(arrivals) as (scalar, window):
+        g = simulate(n, m, profile, seed)
+    assert np.array_equal(g.targets, expected)
+    head = 1 + (n - 1) % arrivals
+    assert scalar.call_args_list[0].args[6:8] == (2, head + 1)
+    assert window.call_count == (n - head) // arrivals
+
+
+@pytest.mark.parametrize("arrivals", [1, 2, 5, 16])
+@pytest.mark.parametrize("case", GUARD_CASES, ids=lambda c: "n{}-m{}-k{}-{}-tau{}".format(*c))
+def test_guard_windows_are_redrawn_by_the_scalar_loop(case, arrivals):
+    # the guard cases' streams through windows: a window in which a draw
+    # reaches the guard is redrawn by the scalar loop from its start's tree
+    n, m, k0, k1, tau, seed, _ = case
+    d0, d1 = -m + k0 / 30, -m + k1 / 30
+    rng = np.random.default_rng(seed)
+    u = rng.random((n - 1) * m)
+    u[rng.random(len(u)) < 0.3] = np.nextafter(1.0, 0.0)
+    expected, fired = attach_kernel_two_pass(n, m, d0, d1, tau, u)
+    with windows(arrivals) as (scalar, _):
+        targets = _attach_kernel(n, m, d0, d1, tau, u)
+    assert np.array_equal(targets, expected)
+    head = 1 + (n - 1) % arrivals
+    late = sorted({(a - head - 1) // arrivals for a in (p // m + 2 for p in fired) if a > head})
+    redrawn = [(head + 1 + w * arrivals, head + 1 + (w + 1) * arrivals) for w in late]
+    assert [c.args[6:8] for c in scalar.call_args_list] == [(2, head + 1)] + redrawn
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [DeltaProfile.constant(1e308), DeltaProfile.step(0.5, sys.float_info.max, 30)],
+    ids=["1e308", "0.5-max"],
+)
+def test_window_path_at_huge_delta_is_the_scalar_stream_without_warnings(profile):
+    # the totals overflow to inf, as Python floats do in the scalar loop
+    expected = simulate(100, 2, profile, 3)
+    with windows(7):
+        assert simulate(100, 2, profile, 3) == expected
+
+
 R0 = simulation._BATCH_MIN_ROWS
 
 
@@ -215,6 +281,10 @@ def test_simulate_many_checks_its_arguments():
     with pytest.raises(ValueError):
         simulate_many(10, 1, [DeltaProfile.constant(0.0)], [1, 2])
     assert list(simulate_many(10, 1, [], [])) == []
+    # n is checked before the profiles, and also when there are none
+    assert list(simulate_many(np.int64(10), 1, [], [])) == []
+    with pytest.raises(DomainError):
+        simulate_many(0, 1, [], [])
 
 
 def test_numpy_integer_n_draws_the_int_log_and_other_n_is_a_domain_error():

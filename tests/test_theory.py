@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -179,11 +180,12 @@ def test_pmf_exact_form_to_a_billion():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("delta", (1e160, 1e300))
+@pytest.mark.parametrize("delta", (1e160, 1e300, 1e308, sys.float_info.max))
 def test_pmf_at_huge_delta_is_the_uniform_attachment_law_without_warnings(delta):
     # As delta grows attachment turns uniform and the degree law tends to
     # p_k = (m/(m+1))^(k-m) / (m+1).  Past y = 1.3e154, y*y in Binet's
-    # series overflowed: its value was right, but it warned.
+    # series overflowed: its value was right, but it warned.  Past about
+    # 9e307, X0 + h in the Gamma step overflowed, and every p_k was NaN.
     for m in (1, 3):
         law = DegreeLaw(m, delta)
         k = np.arange(m, 21)
